@@ -17,17 +17,7 @@ from .config import (
     run_id,
     with_train,
 )
-from .losses import (
-    LOSS_KINDS,
-    LossEval,
-    infonce,
-    loss_batch,
-    supcon_in,
-    supcon_out,
-    triplet_pair,
-    unicon,
-    unicon_out,
-)
+from .losses import LOSS_KINDS, loss_batch, triplet_pair
 from .model import EncoderParams, forward, init_params, momentum_update
 from .numerics import Rng, log_sum_exp, sigmoid, softplus
 from .pipeline import (
@@ -52,7 +42,6 @@ __all__ = [
     "DivergenceError",
     "EncoderParams",
     "LOSS_KINDS",
-    "LossEval",
     "ModelConfig",
     "PairQueue",
     "ProbeConfig",
@@ -68,7 +57,6 @@ __all__ = [
     "extract_features",
     "forward",
     "generate_dataset",
-    "infonce",
     "init_params",
     "init_queue",
     "knn_probe",
@@ -84,11 +72,7 @@ __all__ = [
     "run_probes",
     "sigmoid",
     "softplus",
-    "supcon_in",
-    "supcon_out",
     "train_step",
     "triplet_pair",
-    "unicon",
-    "unicon_out",
     "with_train",
 ]

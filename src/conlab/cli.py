@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .config import (
     ConfigError,
+    RunConfig,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -40,10 +41,9 @@ from .storage import (
     load_dataset,
     save_checkpoint,
     save_dataset,
+    truncate_metrics,
     write_manifest,
 )
-
-_SECTION_NAMES = {"dataset", "model", "train", "probe"}
 
 
 def _load_dataset_spec(path):
@@ -54,7 +54,7 @@ def _load_dataset_spec(path):
             raise ConfigError([f"spec: invalid JSON ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["spec: expected a JSON object"])
-    if set(doc) <= _SECTION_NAMES:
+    if set(doc) <= {f.name for f in fields(RunConfig)}:
         return config_from_dict(doc).dataset
     return config_from_dict({"dataset": doc}).dataset
 
@@ -99,6 +99,7 @@ def _cmd_pretrain(args) -> int:
             raise ConfigError(
                 ["resume: checkpoint was produced by a different config"]
             )
+        truncate_metrics(metrics_path, state.step)
 
     writer = MetricsWriter(metrics_path, append=args.resume is not None)
     try:

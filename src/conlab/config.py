@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 from .losses import LOSS_KINDS
 
@@ -177,105 +178,52 @@ class RunConfig:
         )
 
 
-_INT = "int"
-_FLOAT = "float"
-_STR = "str"
-_INT_TUPLE = "int_tuple"
-_OPT_INT = "opt_int"
-_OPT_FLOAT = "opt_float"
-
-_FIELD_KINDS = {
-    DatasetSpec: {
-        "n_classes": _INT,
-        "input_dim": _INT,
-        "n_train": _INT,
-        "n_test": _INT,
-        "cluster_spread": _FLOAT,
-        "mean_radius": _FLOAT,
-        "seed": _INT,
-    },
-    ModelConfig: {"trunk": _INT_TUPLE, "proj_hidden": _OPT_INT, "embed_dim": _INT},
-    AugConfig: {"noise_std": _FLOAT, "dropout_p": _FLOAT},
-    TrainConfig: {
-        "tau": _FLOAT,
-        "momentum_m": _FLOAT,
-        "queue_size": _INT,
-        "label_ratio": _FLOAT,
-        "batch_size": _INT,
-        "epochs": _INT,
-        "lr": _FLOAT,
-        "sgd_momentum": _FLOAT,
-        "weight_decay": _FLOAT,
-        "aug": AugConfig,
-        "loss": _STR,
-        "seed": _INT,
-    },
-    ProbeConfig: {
-        "epochs": _INT,
-        "lr": _FLOAT,
-        "batch_size": _INT,
-        "knn_k": _INT,
-        "knn_temperature": _OPT_FLOAT,
-    },
+# JSON checks per field type: (accepts, convert, what the message expects)
+_JSON_TYPES = {
+    int: (lambda v: type(v) is int, int, "an integer"),
+    float: (lambda v: type(v) in (int, float), float, "a number"),
+    str: (lambda v: isinstance(v, str), str, "a string"),
+    tuple[int, ...]: (
+        lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v),
+        tuple,
+        "a list of integers",
+    ),
 }
 
 
-def _coerce(kind, value, where: str, problems: list[str]):
-    if kind == _INT:
-        if type(value) is int:
-            return value
-        problems.append(f"{where}: expected an integer")
-    elif kind == _FLOAT:
-        if type(value) in (int, float):
-            return float(value)
-        problems.append(f"{where}: expected a number")
-    elif kind == _STR:
-        if isinstance(value, str):
-            return value
-        problems.append(f"{where}: expected a string")
-    elif kind == _OPT_INT:
-        if value is None or type(value) is int:
-            return value
-        problems.append(f"{where}: expected an integer or null")
-    elif kind == _OPT_FLOAT:
-        if value is None:
-            return None
-        if type(value) in (int, float):
-            return float(value)
-        problems.append(f"{where}: expected a number or null")
-    elif kind == _INT_TUPLE:
-        if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
-            return tuple(value)
-        problems.append(f"{where}: expected a list of integers")
-    return None
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _section_from_dict(cls, data, where: str, problems: list[str]):
     if not isinstance(data, dict):
         problems.append(f"{where}: expected an object")
         return cls()
-    kinds = _FIELD_KINDS[cls]
+    types = _field_types(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in kinds:
+        if key not in types:
             problems.append(f"{where}.{key}: unknown key")
             continue
-        kind = kinds[key]
-        if isinstance(kind, type):  # nested section
-            kwargs[key] = _section_from_dict(kind, value, f"{where}.{key}", problems)
+        hint = types[key]
+        if is_dataclass(hint):  # nested section
+            kwargs[key] = _section_from_dict(hint, value, f"{where}.{key}", problems)
+            continue
+        optional = type(None) in get_args(hint)  # `T | None`
+        if optional:
+            if value is None:
+                kwargs[key] = None
+                continue
+            hint = get_args(hint)[0]
+        accepts, convert, expected = _JSON_TYPES[hint]
+        if accepts(value):
+            kwargs[key] = convert(value)
         else:
-            coerced = _coerce(kind, value, f"{where}.{key}", problems)
-            if coerced is not None or kind in (_OPT_INT, _OPT_FLOAT):
-                kwargs[key] = coerced
+            problems.append(
+                f"{where}.{key}: expected {expected}{' or null' if optional else ''}"
+            )
     return cls(**kwargs)
-
-
-_SECTIONS = {
-    "dataset": DatasetSpec,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "probe": ProbeConfig,
-}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -285,11 +233,12 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(["config: expected a JSON object"])
     sections = {}
+    types = _field_types(RunConfig)
     for key, value in data.items():
-        if key not in _SECTIONS:
+        if key not in types:
             problems.append(f"{key}: unknown section")
             continue
-        sections[key] = _section_from_dict(_SECTIONS[key], value, key, problems)
+        sections[key] = _section_from_dict(types[key], value, key, problems)
     cfg = RunConfig(**sections)
     problems.extend(cfg.validate())
     if problems:

@@ -1,22 +1,28 @@
-"""Self-contained loss verification suite.
+"""The loss property battery, shared by `conlab losscheck` and acceptance
+criteria 1-6.
 
-Runs the property battery the loss family must satisfy — finite-difference
-gradient agreement, single-positive collapse, shift invariance, max bounds,
-the triplet relation, and large-logit stability — on freshly sampled inputs,
-and reports one row per (loss, property). The stability row also evaluates a
-deliberately naive direct-formula implementation to demonstrate *why* the
-shipped evaluation path goes through log-sum-exp and softplus: the naive one
-overflows on the same inputs.
+Each check samples a batch of rows from an `Rng`, evaluates it through
+`loss_batch` with no per-row loop, and returns one row per (loss, property):
+finite-difference gradient agreement, single-positive collapse, shift
+invariance, large-logit stability, the max bounds, and the triplet relation.
+The naive-overflow row evaluates a deliberately naive direct-formula
+implementation to demonstrate *why* the shipped evaluation path goes through
+log-sum-exp and softplus: the naive one overflows on the same inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import LOSS_KINDS, loss_batch, triplet_pair
-from .numerics import Rng, l2_normalize_rows
+from .numerics import Rng
+
+FD_STEP = 1e-5
+SHIFTS = (-100.0, -1.0, 1.0, 100.0)
+EXTREME = 600.0
 
 
 @dataclass(frozen=True)
@@ -26,7 +32,10 @@ class CheckResult:
     trials: int
     max_err: float
     tol: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_err <= self.tol
 
 
 def naive_unicon_values(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -40,138 +49,137 @@ def naive_unicon_values(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return np.log1p(sum_neg * sum_pos)
 
 
-def _random_row(rng: Rng, width: int, kind: str):
-    s = 2.0 * rng.normal(size=width)
-    mask = np.zeros(width, dtype=bool)
-    if kind == "infonce":
-        n_pos = 1
-    else:
-        n_pos = int(rng.integers(1, min(8, width - 1) + 1))
-    mask[rng.permutation(width)[:n_pos]] = True
-    return s, mask
+def _masks(rng: Rng, n_rows: int, width: int, kind: str, min_pos: int = 1):
+    """Positives at random slots: one for infonce, else min_pos..8 per row,
+    capped at width - 1 so every row keeps a negative."""
+    masks = np.zeros((n_rows, width), dtype=bool)
+    max_pos = min(8, width - 1)
+    for i in range(n_rows):
+        n_pos = 1 if kind == "infonce" else int(rng.integers(min_pos, max_pos + 1))
+        masks[i, rng.permutation(width)[:n_pos]] = True
+    return masks
 
 
-def _fd_gradient(kind, s, mask, h=1e-5):
-    width = s.size
-    # evaluate all 2*width perturbations in one batch
-    pert = np.repeat(s[None, :], 2 * width, axis=0)
-    idx = np.arange(width)
-    pert[2 * idx, idx] += h
-    pert[2 * idx + 1, idx] -= h
-    values, _ = loss_batch(kind, pert, np.repeat(mask[None, :], 2 * width, axis=0))
-    return (values[2 * idx] - values[2 * idx + 1]) / (2.0 * h)
+def _finite(kind: str, logits: np.ndarray, masks: np.ndarray) -> bool:
+    """Values and gradients finite, with no overflow or invalid operation."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            values, grads = loss_batch(kind, logits, masks)
+    except FloatingPointError:
+        return False
+    return bool(np.isfinite(values).all() and np.isfinite(grads).all())
 
 
-def _check_grad(kind, trials, width, rng, tol=1e-6):
-    worst = 0.0
-    for t in range(trials):
-        s, mask = _random_row(rng.stream("row", t), width, kind)
-        _, grads = loss_batch(kind, s[None], mask[None])
-        fd = _fd_gradient(kind, s, mask)
-        err = float(np.max(np.abs(grads[0] - fd)) / max(np.max(np.abs(fd)), 1e-12))
-        worst = max(worst, err)
-    return CheckResult(kind, "grad_fd", trials, worst, tol, worst <= tol)
+def check_grad_fd(kind: str, rng: Rng, n_rows: int, width: int) -> CheckResult:
+    """Analytic gradients against central differences; the error of a row is
+    max |grad - fd| relative to max |grad|."""
+    logits = 2.0 * rng.normal(size=(n_rows, width))
+    masks = _masks(rng, n_rows, width, kind)
+    cols = np.arange(width)
+    pert = np.repeat(logits[:, None, :], 2 * width, axis=1)  # (n, 2w, w)
+    pert[:, 2 * cols, cols] += FD_STEP
+    pert[:, 2 * cols + 1, cols] -= FD_STEP
+    values, grads = loss_batch(
+        kind,
+        np.concatenate([logits, pert.reshape(-1, width)]),
+        np.concatenate([masks, np.repeat(masks, 2 * width, axis=0)]),
+    )
+    pert_values = values[n_rows:].reshape(n_rows, 2 * width)
+    fd = (pert_values[:, 0::2] - pert_values[:, 1::2]) / (2.0 * FD_STEP)
+    grads = grads[:n_rows]
+    num = np.max(np.abs(grads - fd), axis=1)
+    den = np.maximum(np.max(np.abs(grads), axis=1), 1e-12)
+    return CheckResult(kind, "grad_fd", n_rows, float(np.max(num / den)), 1e-6)
 
 
-def _check_single_pos(kind, trials, width, rng, tol=1e-10):
-    worst = 0.0
-    for t in range(trials):
-        r = rng.stream("row", t)
-        s = 3.0 * r.normal(size=width)
-        mask = np.zeros(width, dtype=bool)
-        mask[int(r.integers(0, width))] = True
-        v_kind, _ = loss_batch(kind, s[None], mask[None])
-        v_ref, _ = loss_batch("infonce", s[None], mask[None])
-        worst = max(worst, float(abs(v_kind[0] - v_ref[0])))
-    return CheckResult(kind, "single_pos", trials, worst, tol, worst <= tol)
+def check_single_pos(kind: str, rng: Rng, n_rows: int, width: int) -> CheckResult:
+    """With one positive per row, `kind` takes the infonce value."""
+    logits = 3.0 * rng.normal(size=(n_rows, width))
+    masks = np.zeros((n_rows, width), dtype=bool)
+    masks[np.arange(n_rows), rng.integers(0, width, size=n_rows)] = True
+    values, _ = loss_batch(kind, logits, masks)
+    ref, _ = loss_batch("infonce", logits, masks)
+    worst = float(np.max(np.abs(values - ref)))
+    return CheckResult(kind, "single_pos", n_rows, worst, 1e-10)
 
 
-def _check_shift(kind, trials, width, rng, tol=1e-9):
-    worst = 0.0
-    for t in range(trials):
-        s, mask = _random_row(rng.stream("row", t), width, kind)
-        base, _ = loss_batch(kind, s[None], mask[None])
-        for c in (-100.0, -1.0, 1.0, 100.0):
-            shifted, _ = loss_batch(kind, (s + c)[None], mask[None])
-            rel = float(abs(shifted[0] - base[0]) / max(abs(base[0]), 1e-12))
-            worst = max(worst, rel)
-    return CheckResult(kind, "shift_inv", trials, worst, tol, worst <= tol)
+def check_shift_inv(kind: str, rng: Rng, n_rows: int, width: int) -> CheckResult:
+    """Adding a constant to a whole row leaves the value unchanged (relative
+    change, over every shift in SHIFTS)."""
+    logits = 2.0 * rng.normal(size=(n_rows, width))
+    masks = _masks(rng, n_rows, width, kind)
+    values, _ = loss_batch(
+        kind,
+        np.concatenate([logits] + [logits + c for c in SHIFTS]),
+        np.tile(masks, (1 + len(SHIFTS), 1)),
+    )
+    base, shifted = values[:n_rows], values[n_rows:].reshape(len(SHIFTS), n_rows)
+    rel = np.abs(shifted - base) / np.maximum(np.abs(base), 1e-12)
+    return CheckResult(kind, "shift_inv", n_rows, float(np.max(rel)), 1e-9)
 
 
-def _check_stability(kind, rng, tol=0.0):
-    """Value and gradient must stay finite with logits pushed to ±600."""
-    width = 33
-    rows = []
-    masks = []
-    r = rng.stream("rows")
-    for t in range(32):
-        s = np.where(r.random(size=width) < 0.5, 600.0, -600.0)
-        mask = np.zeros(width, dtype=bool)
-        n_pos = 1 if kind == "infonce" else int(r.integers(1, 9))
-        mask[r.permutation(width)[:n_pos]] = True
-        rows.append(s)
-        masks.append(mask)
-    logits = np.array(rows)
-    targets = np.array(masks)
-    values, grads = loss_batch(kind, logits, targets)
-    finite = bool(np.isfinite(values).all() and np.isfinite(grads).all())
-    bad = 0.0 if finite else float("inf")
-    return CheckResult(kind, "stability_600", len(rows), bad, tol, finite)
+def check_stability(kind: str, rng: Rng, n_rows: int, width: int) -> CheckResult:
+    """Finite values and gradients on rows of random ±600 logits."""
+    logits = np.where(rng.random(size=(n_rows, width)) < 0.5, EXTREME, -EXTREME)
+    masks = _masks(rng, n_rows, width, kind)
+    err = 0.0 if _finite(kind, logits, masks) else math.inf
+    return CheckResult(kind, "stability_600", n_rows, err, 0.0)
 
 
-def _check_naive_overflow(rng):
-    """PASS means the naive implementation does break on ±600 logits while
-    the shipped path stays finite — evidence for the stable formulation."""
-    width = 33
-    r = rng.stream("rows")
-    s = np.where(r.random(size=width) < 0.5, 600.0, -600.0)
-    s[0] = -600.0  # positive slot
-    s[1] = 600.0  # at least one overflowing negative
-    mask = np.zeros(width, dtype=bool)
-    mask[0] = True
-    naive = naive_unicon_values(s[None], mask[None])
-    stable, grads = loss_batch("unicon", s[None], mask[None])
-    naive_breaks = not np.isfinite(naive).all()
-    stable_holds = bool(np.isfinite(stable).all() and np.isfinite(grads).all())
-    ok = naive_breaks and stable_holds
-    return CheckResult("unicon", "naive_overflow", 1, 0.0 if ok else float("inf"), 0.0, ok)
+def check_naive_overflow(width: int) -> CheckResult:
+    """On one row with the positive at -600 and every negative at +600, the
+    naive formula overflows while `loss_batch` stays finite."""
+    logits = np.full((1, width), EXTREME)
+    logits[0, 0] = -EXTREME
+    masks = np.zeros((1, width), dtype=bool)
+    masks[0, 0] = True
+    naive_breaks = not np.isfinite(naive_unicon_values(logits, masks)).all()
+    ok = naive_breaks and _finite("unicon", logits, masks)
+    return CheckResult("unicon", "naive_overflow", 1, 0.0 if ok else math.inf, 0.0)
 
 
-def _check_max_bounds(trials, width, rng, tol=1e-12):
-    worst = 0.0
-    for t in range(trials):
-        r = rng.stream("row", t)
-        s = 3.0 * r.normal(size=width)
-        mask = np.zeros(width, dtype=bool)
-        n_pos = int(r.integers(2, min(8, width - 1) + 1))
-        mask[r.permutation(width)[:n_pos]] = True
-        value = loss_batch("unicon", s[None], mask[None])[0][0]
-        max_delta = float(s[~mask].max() - s[mask].min())
-        lower = max(0.0, max_delta)
-        upper = lower + np.log1p(float(n_pos * (width - n_pos)))
-        worst = max(worst, lower - value, value - upper)
-    worst = max(worst, 0.0)
-    return CheckResult("unicon", "max_bounds", trials, worst, tol, worst <= tol)
+def check_max_bounds(rng: Rng, n_rows: int, width: int) -> CheckResult:
+    """max(0, max gap) <= unicon <= max(0, max gap) + log(1 + |P||N|), where
+    the gap runs over (negative, positive) logit pairs; rows have 2+ positives."""
+    logits = 2.0 * rng.normal(size=(n_rows, width))
+    masks = _masks(rng, n_rows, width, "unicon", min_pos=2)
+    values, _ = loss_batch("unicon", logits, masks)
+    gap = np.where(~masks, logits, -np.inf).max(axis=1) - np.where(
+        masks, logits, np.inf
+    ).min(axis=1)
+    lower = np.maximum(0.0, gap)
+    n_pos = masks.sum(axis=1)
+    upper = lower + np.log1p(n_pos * (width - n_pos))
+    violation = max(float(np.max(np.maximum(lower - values, values - upper))), 0.0)
+    return CheckResult("unicon", "max_bounds", n_rows, violation, 1e-12)
 
 
-def _check_triplet(trials, rng, tol=1e-10):
-    worst_env = 0.0  # envelope |2τ·unicon − triplet| − 2τ·log2, should be ≤ 0
-    worst_eq = 0.0  # triplet vs squared-distance identity
-    for t in range(trials):
-        r = rng.stream("row", t)
-        q, kp, kn = l2_normalize_rows(r.normal(size=(3, 8)))
-        tau = 0.1 + 0.9 * float(r.random())
-        s = np.array([[float(q @ kp), float(q @ kn)]]) / tau
-        mask = np.array([[True, False]])
-        uni = loss_batch("unicon", s, mask)[0][0]
-        trip = triplet_pair(q, kp, kn, tau)
-        worst_env = max(
-            worst_env, abs(2.0 * tau * uni - trip) - 2.0 * tau * np.log(2.0)
-        )
-        ref = max(0.0, float(np.sum((q - kp) ** 2) - np.sum((q - kn) ** 2)))
-        worst_eq = max(worst_eq, abs(trip - ref))
-    worst = max(worst_env, worst_eq)
-    return CheckResult("unicon", "triplet_pair", trials, worst, tol, worst <= tol)
+def check_triplet(rng: Rng, n_rows: int) -> tuple[CheckResult, CheckResult]:
+    """On random unit (q, k+, k-) in 8-d with tau log-uniform in [0.05, 5]:
+    the envelope row reports max of |2τ·unicon − triplet| − 2τ·log 2 (must be
+    <= 0 up to 1e-12); the identity row compares triplet_pair with the
+    squared-distance gap."""
+    taus = np.empty(n_rows)
+    logits = np.empty((n_rows, 2))
+    trip = np.empty(n_rows)
+    ref = np.empty(n_rows)
+    for t in range(n_rows):
+        r = rng.stream("tuple", t)
+        q, kp, kn = r.unit_rows(3, 8)
+        tau = float(10.0 ** r.uniform(math.log10(0.05), math.log10(5.0)))
+        taus[t] = tau
+        logits[t] = np.array([float(q @ kp), float(q @ kn)]) / tau
+        trip[t] = triplet_pair(q, kp, kn, tau)
+        ref[t] = max(0.0, float(np.sum((q - kp) ** 2) - np.sum((q - kn) ** 2)))
+    masks = np.zeros((n_rows, 2), dtype=bool)
+    masks[:, 0] = True
+    uni, _ = loss_batch("unicon", logits, masks)
+    excess = float(np.max(np.abs(2.0 * taus * uni - trip) - 2.0 * taus * math.log(2.0)))
+    identity = float(np.max(np.abs(trip - ref)))
+    return (
+        CheckResult("unicon", "triplet_env", n_rows, excess, 1e-12),
+        CheckResult("unicon", "triplet_pair", n_rows, identity, 1e-10),
+    )
 
 
 def run_losscheck(trials: int = 1000, width: int = 33, seed: int = 0):
@@ -183,25 +191,17 @@ def run_losscheck(trials: int = 1000, width: int = 33, seed: int = 0):
     root = Rng(seed).stream("losscheck")
     grad_trials = min(trials, 200)  # FD is the expensive check
     results = []
-    for kind in LOSS_KINDS:
-        results.append(
-            _check_grad(kind, grad_trials, width, root.stream("grad", _ki(kind)))
-        )
-        results.append(
-            _check_single_pos(kind, trials, width, root.stream("single", _ki(kind)))
-        )
-        results.append(
-            _check_shift(kind, trials, width, root.stream("shift", _ki(kind)))
-        )
-        results.append(_check_stability(kind, root.stream("stab", _ki(kind))))
-    results.append(_check_max_bounds(trials, width, root.stream("bounds")))
-    results.append(_check_triplet(trials, root.stream("triplet")))
-    results.append(_check_naive_overflow(root.stream("naive")))
+    for i, kind in enumerate(LOSS_KINDS):
+        results += [
+            check_grad_fd(kind, root.stream("grad", i), grad_trials, width),
+            check_single_pos(kind, root.stream("single", i), trials, width),
+            check_shift_inv(kind, root.stream("shift", i), trials, width),
+            check_stability(kind, root.stream("stab", i), trials, width),
+        ]
+    results.append(check_max_bounds(root.stream("bounds"), trials, width))
+    results.extend(check_triplet(root.stream("triplet"), trials))
+    results.append(check_naive_overflow(width))
     return results
-
-
-def _ki(kind: str) -> int:
-    return LOSS_KINDS.index(kind)
 
 
 def format_check_table(results) -> str:
@@ -223,6 +223,13 @@ def format_check_table(results) -> str:
 
 __all__ = [
     "CheckResult",
+    "check_grad_fd",
+    "check_max_bounds",
+    "check_naive_overflow",
+    "check_shift_inv",
+    "check_single_pos",
+    "check_stability",
+    "check_triplet",
     "format_check_table",
     "naive_unicon_values",
     "run_losscheck",

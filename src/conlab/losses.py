@@ -1,12 +1,13 @@
 """Contrastive losses over a row of temperature-scaled similarity logits.
 
-Every loss consumes a logits row of width 1+K (index 0 is the augmented-key
-logit, indices 1..K align with the queue) together with a binary mask marking
-the positives, and returns the scalar value plus the exact gradient with
-respect to every logit. Logits arrive already divided by the temperature;
-the trainer owns that scaling.
+`loss_batch(kind, logits, targets)` evaluates one loss kind on a batch of
+logits rows of width 1+K (index 0 is the augmented-key logit, indices 1..K
+align with the queue) together with binary masks marking the positives, and
+returns each row's value plus its exact gradient with respect to every
+logit. Logits arrive already divided by the temperature; the trainer owns
+that scaling.
 
-The losses:
+The loss kinds:
 
 - ``infonce``     single-positive softmax cross-entropy,
                   -log(exp(s+) / sum_k exp(s_k)).
@@ -33,21 +34,11 @@ positive, and all are invariant to adding a constant to the whole row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import masked_lse_rows, sigmoid, softplus
 
 LOSS_KINDS = ("infonce", "unicon", "unicon_out", "supcon_out", "supcon_in")
-
-
-@dataclass(frozen=True)
-class LossEval:
-    """Scalar loss value and its gradient with respect to the logits row."""
-
-    value: float
-    grad: np.ndarray
 
 
 def _check_batch(kind: str, logits: np.ndarray, targets: np.ndarray):
@@ -155,42 +146,6 @@ def loss_batch(kind: str, logits: np.ndarray, targets: np.ndarray):
     return _BATCH[kind](logits, targets)
 
 
-def _row(kind: str, logits, target) -> LossEval:
-    logits = np.atleast_1d(np.asarray(logits, dtype=np.float64))
-    target = np.atleast_1d(np.asarray(target, dtype=bool))
-    values, grads = loss_batch(kind, logits[None, :], target[None, :])
-    return LossEval(value=float(values[0]), grad=grads[0])
-
-
-def infonce(logits, target) -> LossEval:
-    """Single-positive softmax cross-entropy over the row."""
-    return _row("infonce", logits, target)
-
-
-def unicon(logits, target) -> LossEval:
-    """Unified loss over every (positive, negative) logit pair.
-
-    Equals log(1 + sum_neg exp(s-) * sum_pos exp(-s+)); zero with zero
-    gradient when the negative set is empty.
-    """
-    return _row("unicon", logits, target)
-
-
-def unicon_out(logits, target) -> LossEval:
-    """Pairwise loss with the positive average outside the log."""
-    return _row("unicon_out", logits, target)
-
-
-def supcon_out(logits, target) -> LossEval:
-    """Mean over positives of the full-denominator softmax loss."""
-    return _row("supcon_out", logits, target)
-
-
-def supcon_in(logits, target) -> LossEval:
-    """Softmax loss with positives averaged inside the log."""
-    return _row("supcon_in", logits, target)
-
-
 def triplet_pair(q, k_pos, k_neg, tau: float) -> float:
     """Margin-zero triplet comparison 2*tau*max(0, s- - s+) on unit vectors.
 
@@ -206,3 +161,6 @@ def triplet_pair(q, k_pos, k_neg, tau: float) -> float:
     s_pos = float(q @ k_pos) / tau
     s_neg = float(q @ k_neg) / tau
     return 2.0 * tau * max(0.0, s_neg - s_pos)
+
+
+__all__ = ["LOSS_KINDS", "loss_batch", "triplet_pair"]

@@ -15,6 +15,10 @@ import numpy as np
 DEGENERATE_NORM = 1e-12
 
 
+class DegenerateVectorError(ValueError):
+    """A row whose norm is too small to normalize."""
+
+
 def log_sum_exp(values) -> float:
     """log(sum(exp(v_i))) with the maximum subtracted before exponentiation.
 
@@ -59,7 +63,7 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
         raise ValueError("expected a 2-d array")
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms <= DEGENERATE_NORM):
-        raise ValueError("degenerate vector")
+        raise DegenerateVectorError("degenerate vector")
     return m / norms[:, None]
 
 

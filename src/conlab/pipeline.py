@@ -29,7 +29,7 @@ from .model import (
     momentum_update,
     zeros_like_params,
 )
-from .numerics import Rng
+from .numerics import DegenerateVectorError, Rng
 from .queues import UNLABELED, PairQueue, build_target, init_queue, push_batch
 
 
@@ -195,10 +195,8 @@ def _encode(params: EncoderParams, x: np.ndarray, step: int):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return forward(params, x)
-    except ValueError as exc:
-        if "degenerate vector" in str(exc):
-            raise DivergenceError(f"divergence at step {step}") from exc
-        raise
+    except DegenerateVectorError as exc:
+        raise DivergenceError(f"divergence at step {step}") from exc
 
 
 def train_step(

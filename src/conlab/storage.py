@@ -15,6 +15,7 @@ truncated artifact under the final name.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict
@@ -92,16 +93,32 @@ def read_container(path):
         header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StorageError(f"corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise StorageError("corrupt header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise StorageError(
             f"unsupported format version {header.get('format_version')!r}"
         )
+    entries = header.get("arrays")
+    if not isinstance(entries, list):
+        raise StorageError("corrupt header: 'arrays' is not a list")
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+            and entry.get("dtype") in ("f8", "i8")
+        ):
+            raise StorageError(
+                f"corrupt header: array entry {i} needs a string name, a list "
+                f"of non-negative integer shape and dtype f8 or i8"
+            )
     offset = 8 + hlen
     arrays = {}
-    for entry in header["arrays"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(data):
             raise StorageError(f"truncated file: array {entry['name']} cut short")
         arr = np.frombuffer(data[offset : offset + nbytes], dtype="<f8").reshape(
@@ -141,16 +158,19 @@ def load_dataset(path) -> Dataset:
     header, arrays = read_container(path)
     if header.get("kind") != "dataset":
         raise StorageError(f"not a dataset file (kind={header.get('kind')!r})")
-    spec = config_from_dict({"dataset": header["spec"]}).dataset
-    return Dataset(
-        spec=spec,
-        means=arrays["means"],
-        train_x=arrays["train_x"],
-        train_y=arrays["train_y"],
-        train_labels=arrays["train_labels"],
-        test_x=arrays["test_x"],
-        test_y=arrays["test_y"],
-    )
+    try:
+        spec = config_from_dict({"dataset": header["spec"]}).dataset
+        return Dataset(
+            spec=spec,
+            means=arrays["means"],
+            train_x=arrays["train_x"],
+            train_y=arrays["train_y"],
+            train_labels=arrays["train_labels"],
+            test_x=arrays["test_x"],
+            test_y=arrays["test_y"],
+        )
+    except KeyError as exc:
+        raise StorageError(f"dataset file lacks {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +232,24 @@ def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
     header, arrays = read_container(path)
     if header.get("kind") != "checkpoint":
         raise StorageError(f"not a checkpoint file (kind={header.get('kind')!r})")
-    cfg = config_from_dict(header["config"])
-    n_trunk = len(header["dims"]["trunk"])
-    queue = PairQueue(
-        features=arrays["queue.features"],
-        labels=arrays["queue.labels"],
-        cursor=int(header["queue"]["cursor"]),
-        inserted=int(header["queue"]["inserted"]),
-    )
-    state = TrainState(
-        params_q=_params_from_arrays("q", arrays, n_trunk),
-        params_k=_params_from_arrays("k", arrays, n_trunk),
-        velocity=_params_from_arrays("v", arrays, n_trunk),
-        queue=queue,
-        step=int(header["step"]),
-    )
+    try:
+        cfg = config_from_dict(header["config"])
+        n_trunk = len(header["dims"]["trunk"])
+        queue = PairQueue(
+            features=arrays["queue.features"],
+            labels=arrays["queue.labels"],
+            cursor=int(header["queue"]["cursor"]),
+            inserted=int(header["queue"]["inserted"]),
+        )
+        state = TrainState(
+            params_q=_params_from_arrays("q", arrays, n_trunk),
+            params_k=_params_from_arrays("k", arrays, n_trunk),
+            velocity=_params_from_arrays("v", arrays, n_trunk),
+            queue=queue,
+            step=int(header["step"]),
+        )
+    except KeyError as exc:
+        raise StorageError(f"checkpoint file lacks {exc}") from None
     return state, cfg
 
 
@@ -269,6 +292,15 @@ class MetricsWriter:
     def __exit__(self, *exc):
         self.close()
         return False
+
+
+def truncate_metrics(path, step: int) -> None:
+    """Keep only the rows before `step`, so that a run resumed from a
+    checkpoint at `step` appends each later step exactly once."""
+    if not os.path.exists(path):
+        return
+    rows = [format_metrics_row(m) for m in read_metrics(path) if m.step < step]
+    atomic_write_text(path, "".join(f"{line}\n" for line in [METRICS_HEADER] + rows))
 
 
 def read_metrics(path) -> list[StepMetrics]:
@@ -325,6 +357,7 @@ __all__ = [
     "read_metrics",
     "save_checkpoint",
     "save_dataset",
+    "truncate_metrics",
     "write_container",
     "write_manifest",
 ]

@@ -26,8 +26,16 @@ from conlab.experiments import (
     compare_to_dict,
     compare_to_text,
 )
-from conlab.losscheck import naive_unicon_values
-from conlab.losses import LOSS_KINDS, loss_batch, triplet_pair
+from conlab.losscheck import (
+    check_grad_fd,
+    check_max_bounds,
+    check_naive_overflow,
+    check_shift_inv,
+    check_single_pos,
+    check_stability,
+    check_triplet,
+)
+from conlab.losses import LOSS_KINDS, loss_batch
 from conlab.numerics import Rng
 from conlab.pipeline import generate_dataset, pretrain
 from conlab.queues import build_target, init_queue, push_batch
@@ -41,15 +49,6 @@ def _record(num: int, ok: bool, detail: str) -> None:
     line = f"{'PASS' if ok else 'FAIL'}  criterion {num:>2}: {detail}"
     record_acceptance(line)
     assert ok, line
-
-
-def _random_batch(rng: Rng, n_rows: int, kind: str, min_pos: int = 1):
-    logits = 2.0 * rng.normal(size=(n_rows, WIDTH))
-    targets = np.zeros((n_rows, WIDTH), dtype=bool)
-    for i in range(n_rows):
-        n_pos = 1 if kind == "infonce" else int(rng.integers(min_pos, 9))
-        targets[i, rng.permutation(WIDTH)[:n_pos]] = True
-    return logits, targets
 
 
 # ---------------------------------------------------------------------------
@@ -93,34 +92,18 @@ def family_grid(default_cfg, default_dataset):
 
 
 # ---------------------------------------------------------------------------
-# 1. analytic gradients vs central finite differences
-
-
-def _fd_values_gradient(kind, logits, targets, h=1e-5):
-    n, w = logits.shape
-    pert = np.repeat(logits[:, None, :], 2 * w, axis=1)  # (n, 2w, w)
-    cols = np.arange(w)
-    pert[:, 2 * cols, cols] += h
-    pert[:, 2 * cols + 1, cols] -= h
-    flat_t = np.repeat(targets[:, None, :], 2 * w, axis=1).reshape(-1, w)
-    values, _ = loss_batch(kind, pert.reshape(-1, w), flat_t)
-    values = values.reshape(n, 2 * w)
-    return (values[:, 2 * cols] - values[:, 2 * cols + 1]) / (2.0 * h)
+# 1-6. the loss property battery from conlab.losscheck, at fixed seeds
 
 
 def test_criterion_01_gradient_oracle():
     rng = Rng(101).stream("fd-oracle")
     start = time.perf_counter()
-    worst = 0.0
-    for kind in LOSS_KINDS:
-        logits, targets = _random_batch(rng.stream(kind), 100, kind)
-        _, grads = loss_batch(kind, logits, targets)
-        fd = _fd_values_gradient(kind, logits, targets)
-        num = np.max(np.abs(grads - fd), axis=1)
-        den = np.maximum(np.max(np.abs(grads), axis=1), 1e-12)
-        worst = max(worst, float(np.max(num / den)))
+    results = [
+        check_grad_fd(kind, rng.stream(kind), 100, WIDTH) for kind in LOSS_KINDS
+    ]
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 10.0
+    worst = max(r.max_err for r in results)
+    ok = all(r.passed for r in results) and elapsed < 10.0
     _record(
         1,
         ok,
@@ -130,143 +113,67 @@ def test_criterion_01_gradient_oracle():
     )
 
 
-# ---------------------------------------------------------------------------
-# 2. single-positive collapse to the plain single-positive loss
-
-
 def test_criterion_02_single_positive_collapse():
-    rng = Rng(102).stream("collapse")
-    logits = 3.0 * rng.normal(size=(1000, WIDTH))
-    targets = np.zeros((1000, WIDTH), dtype=bool)
-    targets[np.arange(1000), rng.integers(0, WIDTH, size=1000)] = True
-    ref, _ = loss_batch("infonce", logits, targets)
-    worst = 0.0
-    for kind in MULTI_POS:
-        values, _ = loss_batch(kind, logits, targets)
-        worst = max(worst, float(np.max(np.abs(values - ref))))
-    ok = worst <= 1e-10
+    results = [
+        check_single_pos(kind, Rng(102).stream("collapse"), 1000, WIDTH)
+        for kind in MULTI_POS
+    ]
     _record(
         2,
-        ok,
+        all(r.passed for r in results),
         f"single-positive rows: max |multi-pos loss - single-pos loss| "
-        f"{worst:.2e} over 1000 rows x {len(MULTI_POS)} kinds (tol 1e-10)",
+        f"{max(r.max_err for r in results):.2e} over 1000 rows x "
+        f"{len(MULTI_POS)} kinds (tol 1e-10)",
     )
-
-
-# ---------------------------------------------------------------------------
-# 3. soft-max envelope around the worst positive/negative gap
 
 
 def test_criterion_03_max_bounds():
-    rng = Rng(103).stream("bounds")
-    logits, targets = _random_batch(rng, 1000, "unicon", min_pos=2)
-    values, _ = loss_batch("unicon", logits, targets)
-    max_delta = np.where(~targets, logits, -np.inf).max(axis=1) - np.where(
-        targets, logits, np.inf
-    ).min(axis=1)
-    lower = np.maximum(0.0, max_delta)
-    n_pos = targets.sum(axis=1)
-    upper = lower + np.log1p(n_pos * (WIDTH - n_pos))
-    violation = float(np.max(np.maximum(lower - values, values - upper)))
-    violation = max(violation, 0.0)
-    ok = violation <= 1e-12
+    result = check_max_bounds(Rng(103).stream("bounds"), 1000, WIDTH)
     _record(
         3,
-        ok,
+        result.passed,
         f"max(0, max gap) <= value <= max(0, max gap) + log(1+|P||N|): "
-        f"worst violation {violation:.2e} over 1000 rows (slack 1e-12)",
+        f"worst violation {result.max_err:.2e} over 1000 rows (slack 1e-12)",
     )
 
 
-# ---------------------------------------------------------------------------
-# 4. pairwise relation to the margin-zero triplet comparison
-
-
 def test_criterion_04_triplet_relation():
-    rng = Rng(104).stream("triplet")
-    worst_env = -math.inf
-    worst_eq = 0.0
-    for t in range(1000):
-        r = rng.stream("tuple", t)
-        q, kp, kn = r.unit_rows(3, 8)
-        tau = float(10.0 ** r.uniform(math.log10(0.05), math.log10(5.0)))
-        s = np.array([[float(q @ kp), float(q @ kn)]]) / tau
-        uni = loss_batch("unicon", s, np.array([[True, False]]))[0][0]
-        trip = triplet_pair(q, kp, kn, tau)
-        worst_env = max(
-            worst_env, abs(2.0 * tau * uni - trip) - 2.0 * tau * math.log(2.0)
-        )
-        ref = max(0.0, float(np.sum((q - kp) ** 2) - np.sum((q - kn) ** 2)))
-        worst_eq = max(worst_eq, abs(trip - ref))
-    ok = worst_env <= 1e-12 and worst_eq <= 1e-10
+    envelope, identity = check_triplet(Rng(104).stream("triplet"), 1000)
     _record(
         4,
-        ok,
-        f"|2*tau*loss - triplet| - 2*tau*log2 <= {worst_env:.2e} (<=0) and "
-        f"squared-distance identity err {worst_eq:.2e} (tol 1e-10), "
+        envelope.passed and identity.passed,
+        f"|2*tau*loss - triplet| - 2*tau*log2 <= {envelope.max_err:.2e} (<=0) and "
+        f"squared-distance identity err {identity.max_err:.2e} (tol 1e-10), "
         f"1000 tuples",
     )
 
 
-# ---------------------------------------------------------------------------
-# 5. invariance to a common logit shift
-
-
 def test_criterion_05_shift_invariance():
     rng = Rng(105).stream("shift")
-    worst = 0.0
-    for kind in LOSS_KINDS:
-        logits, targets = _random_batch(rng.stream(kind), 1000, kind)
-        base, _ = loss_batch(kind, logits, targets)
-        den = np.maximum(np.abs(base), 1e-12)
-        for c in (-100.0, -1.0, 1.0, 100.0):
-            shifted, _ = loss_batch(kind, logits + c, targets)
-            worst = max(worst, float(np.max(np.abs(shifted - base) / den)))
-    ok = worst <= 1e-9
+    results = [
+        check_shift_inv(kind, rng.stream(kind), 1000, WIDTH) for kind in LOSS_KINDS
+    ]
     _record(
         5,
-        ok,
-        f"shifts c in {{-100,-1,1,100}}: max relative value change {worst:.2e} "
-        f"over 1000 rows x {len(LOSS_KINDS)} losses (tol 1e-09)",
+        all(r.passed for r in results),
+        f"shifts c in {{-100,-1,1,100}}: max relative value change "
+        f"{max(r.max_err for r in results):.2e} over 1000 rows x "
+        f"{len(LOSS_KINDS)} losses (tol 1e-09)",
     )
-
-
-# ---------------------------------------------------------------------------
-# 6. stability at +-600 logits, with the naive formula failing alongside
 
 
 def test_criterion_06_large_logit_stability():
     rng = Rng(106).stream("extremes")
-    stable = True
-    for kind in LOSS_KINDS:
-        r = rng.stream(kind)
-        logits = np.where(r.random(size=(32, WIDTH)) < 0.5, 600.0, -600.0)
-        targets = np.zeros((32, WIDTH), dtype=bool)
-        for i in range(32):
-            n_pos = 1 if kind == "infonce" else int(r.integers(1, 9))
-            targets[i, r.permutation(WIDTH)[:n_pos]] = True
-        with np.errstate(over="raise", invalid="raise"):
-            values, grads = loss_batch(kind, logits, targets)
-        stable = stable and bool(
-            np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
-        )
-    hard = np.full((1, WIDTH), 600.0)
-    hard[0, 0] = -600.0
-    hard_t = np.zeros((1, WIDTH), dtype=bool)
-    hard_t[0, 0] = True
-    naive = naive_unicon_values(hard, hard_t)
-    naive_breaks = not np.all(np.isfinite(naive))
-    stable_value, stable_grad = loss_batch("unicon", hard, hard_t)
-    stable = stable and bool(
-        np.all(np.isfinite(stable_value)) and np.all(np.isfinite(stable_grad))
-    )
-    ok = stable and naive_breaks
+    results = [
+        check_stability(kind, rng.stream(kind), 32, WIDTH) for kind in LOSS_KINDS
+    ]
+    naive = check_naive_overflow(WIDTH)
     _record(
         6,
-        ok,
+        all(r.passed for r in results) and naive.passed,
         f"values/gradients finite at +-600 logits for all {len(LOSS_KINDS)} "
         f"losses; naive direct-exp evaluation non-finite on the same row "
-        f"({'yes' if naive_breaks else 'no'})",
+        f"({'yes' if naive.passed else 'no'})",
     )
 
 

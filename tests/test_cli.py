@@ -5,6 +5,8 @@ installed console script to cover the entry point itself.
 """
 
 import json
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -14,7 +16,14 @@ from conlab.cli import main
 from conlab.config import config_digest, config_to_dict, load_config
 from conlab.model import params_equal
 from conlab.pipeline import init_state
-from conlab.storage import load_checkpoint, load_dataset, read_metrics
+from conlab.storage import (
+    MAGIC,
+    load_checkpoint,
+    load_dataset,
+    read_container,
+    read_metrics,
+    save_checkpoint,
+)
 
 SMALL_CONFIG = {
     "dataset": {
@@ -272,6 +281,81 @@ def test_corrupt_dataset_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "UMC1" in capsys.readouterr().err
+
+
+def _write_umc1(path, header):
+    raw = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw)
+
+
+MALFORMED_HEADERS = {
+    "no_arrays": {"format_version": 1, "kind": "dataset"},
+    "entry_without_shape": {
+        "format_version": 1,
+        "kind": "dataset",
+        "arrays": [{"name": "means", "dtype": "f8"}],
+    },
+    "list_header": [1, 2],
+}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_container_header_exit_2(workspace, capsys, case, command):
+    tmp_path, config, data = workspace
+    bad = tmp_path / "bad.umc"
+    _write_umc1(bad, MALFORMED_HEADERS[case])
+    if command == "pretrain":
+        argv = ["pretrain", "--config", str(config), "--data", str(bad),
+                "--out-dir", str(tmp_path / "o")]
+    else:
+        argv = ["probe", "--checkpoint", str(bad), "--data", str(data),
+                "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 2
+    assert "error: corrupt header" in capsys.readouterr().err
+
+
+def test_dataset_without_arrays_exit_2(workspace, capsys):
+    tmp_path, config, data = workspace
+    header, _ = read_container(data)
+    header["arrays"] = []
+    _write_umc1(data, header)
+    code = main(
+        ["pretrain", "--config", str(config), "--data", str(data),
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "dataset file lacks 'means'" in capsys.readouterr().err
+
+
+def test_checkpoint_without_arrays_exit_2(workspace, capsys):
+    tmp_path, config, data = workspace
+    cfg = load_config(config)
+    ckpt = tmp_path / "ckpt.umc"
+    save_checkpoint(ckpt, init_state(cfg.model, cfg.train, cfg.dataset.input_dim), cfg)
+    header, _ = read_container(ckpt)
+    header["arrays"] = []
+    _write_umc1(ckpt, header)
+    code = main(
+        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(tmp_path / "p.json")]
+    )
+    assert code == 2
+    assert "checkpoint file lacks" in capsys.readouterr().err
+
+
+def test_repeated_resume_writes_each_step_once(workspace):
+    # a run killed after a resume is resumed again from the same checkpoint
+    tmp_path, config, data = workspace
+    out = tmp_path / "run"
+    base = ["pretrain", "--config", str(config), "--data", str(data),
+            "--out-dir", str(out)]
+    assert main(base + ["--max-steps", "5"]) == 0
+    step5 = tmp_path / "step5.umc"
+    shutil.copy(out / "checkpoint.umc", step5)
+    for _ in range(2):
+        assert main(base + ["--resume", str(step5), "--max-steps", "10"]) == 0
+    assert [m.step for m in read_metrics(out / "metrics.csv")] == list(range(10))
 
 
 def test_usage_errors_exit_2(capsys):

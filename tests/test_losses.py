@@ -11,24 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conlab.losses import (
-    LOSS_KINDS,
-    infonce,
-    loss_batch,
-    supcon_in,
-    supcon_out,
-    triplet_pair,
-    unicon,
-    unicon_out,
-)
-
-ROW_FNS = {
-    "infonce": infonce,
-    "unicon": unicon,
-    "unicon_out": unicon_out,
-    "supcon_out": supcon_out,
-    "supcon_in": supcon_in,
-}
+from conlab.losses import LOSS_KINDS, loss_batch, triplet_pair
 
 MULTI_POS_KINDS = ("unicon", "unicon_out", "supcon_out", "supcon_in")
 
@@ -163,9 +146,9 @@ def random_row(rng, width, kind, min_pos=1, max_pos=None):
 
 @pytest.mark.parametrize("kind,logits,mask,value,grad", ORACLE)
 def test_oracle_rows(kind, logits, mask, value, grad):
-    res = ROW_FNS[kind](np.array(logits), np.array(mask, dtype=bool))
-    assert res.value == pytest.approx(value, rel=1e-13)
-    assert np.allclose(res.grad, grad, rtol=1e-12, atol=1e-15)
+    values, grads = loss_batch(kind, np.array([logits]), np.array([mask], dtype=bool))
+    assert values[0] == pytest.approx(value, rel=1e-13)
+    assert np.allclose(grads[0], grad, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -173,47 +156,49 @@ def test_oracle_rows(kind, logits, mask, value, grad):
 
 
 def test_uniform_logits_give_log3():
-    row = np.zeros(3)
-    one_pos = np.array([True, False, False])
+    row = np.zeros((1, 3))
+    one_pos = np.array([[True, False, False]])
     for kind in LOSS_KINDS:
-        assert ROW_FNS[kind](row, one_pos).value == pytest.approx(LOG3, abs=1e-12)
+        values, _ = loss_batch(kind, row, one_pos)
+        assert values[0] == pytest.approx(LOG3, abs=1e-12)
 
 
 def test_unicon_uniform_equals_log1p_n():
     for n in (1, 2, 5, 17):
-        row = np.zeros(1 + n)
-        mask = np.zeros(1 + n, dtype=bool)
-        mask[0] = True
-        assert unicon(row, mask).value == pytest.approx(np.log(1 + n), abs=1e-12)
+        row = np.zeros((1, 1 + n))
+        mask = np.zeros((1, 1 + n), dtype=bool)
+        mask[0, 0] = True
+        values, _ = loss_batch("unicon", row, mask)
+        assert values[0] == pytest.approx(np.log(1 + n), abs=1e-12)
 
 
 def test_empty_negative_set_is_zero():
-    row = np.array([0.7, -0.3, 1.1])
-    all_pos = np.ones(3, dtype=bool)
-    for fn in (unicon, unicon_out):
-        res = fn(row, all_pos)
-        assert res.value == 0.0
-        assert np.array_equal(res.grad, np.zeros(3))
+    row = np.array([[0.7, -0.3, 1.1]])
+    all_pos = np.ones((1, 3), dtype=bool)
+    for kind in ("unicon", "unicon_out"):
+        values, grads = loss_batch(kind, row, all_pos)
+        assert values[0] == 0.0
+        assert np.array_equal(grads[0], np.zeros(3))
     # supcon losses remain well-defined on the same input
-    assert supcon_out(row, all_pos).value > 0.0
-    assert supcon_in(row, all_pos).value > 0.0
+    for kind in ("supcon_out", "supcon_in"):
+        assert loss_batch(kind, row, all_pos)[0][0] > 0.0
 
 
 def test_precondition_errors():
-    row = np.array([1.0, 0.0, 0.0])
+    row = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="infonce requires single positive"):
-        infonce(row, np.array([True, True, False]))
-    no_pos = np.zeros(3, dtype=bool)
+        loss_batch("infonce", row, np.array([[True, True, False]]))
+    no_pos = np.zeros((1, 3), dtype=bool)
     for kind in MULTI_POS_KINDS:
         with pytest.raises(ValueError, match="requires a positive"):
-            ROW_FNS[kind](row, no_pos)
+            loss_batch(kind, row, no_pos)
 
 
 def test_input_validation():
     with pytest.raises(ValueError, match="unknown loss kind"):
         loss_batch("nce", np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
     with pytest.raises(ValueError, match="non-finite"):
-        unicon(np.array([np.inf, 0.0]), np.array([True, False]))
+        loss_batch("unicon", np.array([[np.inf, 0.0]]), np.array([[True, False]]))
     with pytest.raises(ValueError, match="matching 2-d"):
         loss_batch("unicon", np.zeros((2, 3)), np.ones((2, 4), dtype=bool))
 
@@ -226,18 +211,20 @@ def test_input_validation():
 def test_single_positive_collapse(seed):
     rng = np.random.default_rng(seed)
     s, mask = random_row(rng, 12, "infonce")
-    base = infonce(s, mask).value
+    base, _ = loss_batch("infonce", s[None], mask[None])
     for kind in MULTI_POS_KINDS:
-        assert abs(ROW_FNS[kind](s, mask).value - base) <= 1e-10
+        values, _ = loss_batch(kind, s[None], mask[None])
+        assert abs(values[0] - base[0]) <= 1e-10
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_single_positive_gradients_collapse(seed):
     rng = np.random.default_rng(seed)
     s, mask = random_row(rng, 10, "infonce")
-    base = infonce(s, mask).grad
+    _, base = loss_batch("infonce", s[None], mask[None])
     for kind in MULTI_POS_KINDS:
-        assert np.allclose(ROW_FNS[kind](s, mask).grad, base, atol=1e-10)
+        _, grads = loss_batch(kind, s[None], mask[None])
+        assert np.allclose(grads[0], base[0], atol=1e-10)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -245,7 +232,7 @@ def test_nonnegativity(seed):
     rng = np.random.default_rng(seed)
     for kind in LOSS_KINDS:
         s, mask = random_row(rng, 14, kind)
-        assert ROW_FNS[kind](s, mask).value >= -1e-12
+        assert loss_batch(kind, s[None], mask[None])[0][0] >= -1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([-100.0, -1.0, 1.0, 100.0]))
@@ -253,10 +240,10 @@ def test_shift_invariance(seed, c):
     rng = np.random.default_rng(seed)
     for kind in LOSS_KINDS:
         s, mask = random_row(rng, 14, kind)
-        a = ROW_FNS[kind](s, mask)
-        b = ROW_FNS[kind](s + c, mask)
-        assert abs(b.value - a.value) <= 1e-10 * max(1.0, abs(a.value))
-        assert np.allclose(b.grad, a.grad, atol=1e-10)
+        a_value, a_grad = loss_batch(kind, s[None], mask[None])
+        b_value, b_grad = loss_batch(kind, (s + c)[None], mask[None])
+        assert abs(b_value[0] - a_value[0]) <= 1e-10 * max(1.0, abs(a_value[0]))
+        assert np.allclose(b_grad[0], a_grad[0], atol=1e-10)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -264,7 +251,7 @@ def test_gradient_signs(seed):
     rng = np.random.default_rng(seed)
     for kind in ("infonce", "unicon", "unicon_out"):
         s, mask = random_row(rng, 14, kind)
-        grad = ROW_FNS[kind](s, mask).grad
+        grad = loss_batch(kind, s[None], mask[None])[1][0]
         assert np.all(grad[mask] <= 1e-15)
         assert np.all(grad[~mask] >= -1e-15)
 
@@ -274,15 +261,15 @@ def test_monotonicity(seed):
     rng = np.random.default_rng(seed)
     for kind in ("infonce", "unicon", "unicon_out"):
         s, mask = random_row(rng, 10, kind)
-        base = ROW_FNS[kind](s, mask).value
+        base = loss_batch(kind, s[None], mask[None])[0][0]
         neg_idx = int(np.flatnonzero(~mask)[0])
         pos_idx = int(np.flatnonzero(mask)[0])
         bumped = s.copy()
         bumped[neg_idx] += 0.5
-        assert ROW_FNS[kind](bumped, mask).value > base
+        assert loss_batch(kind, bumped[None], mask[None])[0][0] > base
         bumped = s.copy()
         bumped[pos_idx] += 0.5
-        assert ROW_FNS[kind](bumped, mask).value < base
+        assert loss_batch(kind, bumped[None], mask[None])[0][0] < base
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -292,7 +279,7 @@ def test_unicon_max_bounds(seed):
     pos, neg = s[mask], s[~mask]
     delta_max = float(np.max(neg[None, :] - pos[:, None]))
     n_pairs = pos.size * neg.size
-    value = unicon(s, mask).value
+    value = loss_batch("unicon", s[None], mask[None])[0][0]
     assert max(0.0, delta_max) - 1e-12 <= value
     assert value <= max(0.0, delta_max) + np.log(1 + n_pairs) + 1e-12
 
@@ -302,6 +289,7 @@ def test_unicon_max_bounds(seed):
 
 
 def test_batch_matches_row_functions():
+    # each row of a batch evaluates as it does alone in a one-row batch
     rng = np.random.default_rng(42)
     for kind in LOSS_KINDS:
         rows, masks = zip(*(random_row(rng, 9, kind) for _ in range(6)))
@@ -311,17 +299,18 @@ def test_batch_matches_row_functions():
         assert values.shape == (6,)
         assert grads.shape == logits.shape
         for i in range(6):
-            single = ROW_FNS[kind](logits[i], targets[i])
-            assert values[i] == pytest.approx(single.value, rel=1e-14, abs=1e-14)
-            assert np.allclose(grads[i], single.grad, atol=1e-14)
+            value, grad = loss_batch(kind, logits[i : i + 1], targets[i : i + 1])
+            assert values[i] == pytest.approx(value[0], rel=1e-14, abs=1e-14)
+            assert np.allclose(grads[i], grad[0], atol=1e-14)
 
 
 def test_batch_mixed_positive_counts():
     logits = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, -0.1]])
     targets = np.array([[True, False, False], [True, True, False]])
     values, _ = loss_batch("supcon_in", logits, targets)
-    assert values[0] == pytest.approx(supcon_in(logits[0], targets[0]).value)
-    assert values[1] == pytest.approx(supcon_in(logits[1], targets[1]).value)
+    for i in range(2):
+        alone, _ = loss_batch("supcon_in", logits[i : i + 1], targets[i : i + 1])
+        assert values[i] == pytest.approx(alone[0])
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +324,18 @@ def test_all_losses_finite_at_extreme_logits():
             for _ in range(20):
                 s, mask = random_row(rng, 14, kind)
                 s = np.where(rng.random(s.shape) < 0.5, 600.0, -600.0) + s
-                res = ROW_FNS[kind](s, mask)
-                assert np.isfinite(res.value)
-                assert np.all(np.isfinite(res.grad))
+                values, grads = loss_batch(kind, s[None], mask[None])
+                assert np.isfinite(values[0])
+                assert np.all(np.isfinite(grads[0]))
 
 
 def test_unicon_extreme_worst_case_value():
     # one positive at -600 and one negative at +600: value ~ Delta = 1200
-    s = np.array([-600.0, 600.0])
-    mask = np.array([True, False])
-    res = unicon(s, mask)
-    assert res.value == pytest.approx(1200.0, rel=1e-12)
-    assert np.all(np.isfinite(res.grad))
+    s = np.array([[-600.0, 600.0]])
+    mask = np.array([[True, False]])
+    values, grads = loss_batch("unicon", s, mask)
+    assert values[0] == pytest.approx(1200.0, rel=1e-12)
+    assert np.all(np.isfinite(grads))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +397,8 @@ def test_triplet_unicon_envelope(seed):
     rng = np.random.default_rng(seed)
     tau = float(rng.uniform(0.05, 2.0))
     q, k_pos, k_neg = (v / np.linalg.norm(v) for v in rng.normal(size=(3, 6)))
-    s = np.array([float(q @ k_pos), float(q @ k_neg)]) / tau
-    mask = np.array([True, False])
-    u = unicon(s, mask).value
+    s = np.array([[float(q @ k_pos), float(q @ k_neg)]]) / tau
+    mask = np.array([[True, False]])
+    u = loss_batch("unicon", s, mask)[0][0]
     t = triplet_pair(q, k_pos, k_neg, tau)
     assert abs(2.0 * tau * u - t) <= 2.0 * tau * np.log(2.0) + 1e-12
