@@ -170,32 +170,26 @@ def _cmd_losscheck(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _parse_floats(text: str, flag: str):
+def _parse_list(text: str, flag: str, kind):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigError([f"{flag}: expected comma-separated numbers, got {text!r}"])
-
-
-def _parse_ints(text: str, flag: str):
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError([f"{flag}: expected comma-separated integers, got {text!r}"])
+        noun = "numbers" if kind is float else "integers"
+        raise ConfigError([f"{flag}: expected comma-separated {noun}, got {text!r}"])
 
 
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
     _check_dataset_matches(cfg, dataset)
-    alphas = _parse_floats(args.alphas, "--alphas")
+    alphas = _parse_list(args.alphas, "--alphas", float)
     losses = [tok for tok in args.losses.split(",") if tok.strip() != ""]
     for kind in losses:
         if kind not in LOSS_KINDS:
             raise ConfigError(
                 [f"--losses: unknown loss {kind!r}; pick from {', '.join(LOSS_KINDS)}"]
             )
-    seeds = _parse_ints(args.seeds, "--seeds")
+    seeds = _parse_list(args.seeds, "--seeds", int)
 
     def progress(kind, alpha, seed, res):
         print(
@@ -287,18 +281,12 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # StorageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc} (partial metrics retained)", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -66,14 +66,6 @@ def _masked_exp(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.exp(np.where(mask, x, -np.inf))
 
 
-def _infonce_batch(logits, pos):
-    lse_all = masked_lse_rows(logits, np.ones_like(pos))
-    s_pos = np.sum(np.where(pos, logits, 0.0), axis=1)
-    values = lse_all - s_pos
-    grads = _softmax_rows(logits, lse_all) - pos.astype(np.float64)
-    return values, grads
-
-
 def _unicon_batch(logits, pos):
     neg = ~pos
     has_neg = neg.any(axis=1)
@@ -126,7 +118,8 @@ def _supcon_in_batch(logits, pos):
 
 
 _BATCH = {
-    "infonce": _infonce_batch,
+    # with its single positive, supcon_out is exactly infonce (x / 1.0 == x)
+    "infonce": _supcon_out_batch,
     "unicon": _unicon_batch,
     "unicon_out": _unicon_out_batch,
     "supcon_out": _supcon_out_batch,

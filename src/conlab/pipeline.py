@@ -13,7 +13,7 @@ bit-exactly from a checkpoint that stores nothing but the seed and the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A generated mixture dataset plus the current label view.
+    """A generated mixture dataset: inputs and ground-truth labels only.
 
-    ``train_y`` holds ground truth and never changes; ``train_labels`` is the
-    training-time view where hidden labels read −1. Masking replaces only
-    ``train_labels``.
+    The training-time label view, where hidden labels read −1, is not stored:
+    ``pretrain`` derives it from ``train_y`` and the config's label ratio.
     """
 
     spec: DatasetSpec
     means: np.ndarray  # (C, d) class centers
     train_x: np.ndarray  # (n_train, d)
     train_y: np.ndarray  # (n_train,) int64 in [0, C)
-    train_labels: np.ndarray  # (n_train,) int64 in {-1} ∪ [0, C)
     test_x: np.ndarray  # (n_test, d)
     test_y: np.ndarray  # (n_test,) int64
 
@@ -84,13 +82,22 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
         means=means,
         train_x=train_x,
         train_y=train_y,
-        train_labels=train_y.copy(),
         test_x=test_x,
         test_y=test_y,
     )
 
 
-def _masked_label_array(labels: np.ndarray, alpha: float, rng: Rng) -> np.ndarray:
+def mask_labels(labels: np.ndarray, alpha: float, rng: Rng) -> np.ndarray:
+    """Hide a (1 − alpha) fraction of each class behind the unlabeled marker.
+
+    Returns a new label array; ``labels`` is untouched. The per-class keep
+    order comes from a permutation stream that does not depend on alpha, so
+    the labeled set at a smaller alpha is a subset of the labeled set at any
+    larger alpha (nested subsets). Per class, round(alpha · n_c) labels
+    survive.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     out = np.full(labels.shape, UNLABELED, dtype=np.int64)
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
@@ -98,21 +105,6 @@ def _masked_label_array(labels: np.ndarray, alpha: float, rng: Rng) -> np.ndarra
         keep = int(np.floor(alpha * idx.size + 0.5))
         out[idx[order[:keep]]] = c
     return out
-
-
-def mask_labels(dataset: Dataset, alpha: float, rng: Rng) -> Dataset:
-    """Hide a (1 − alpha) fraction of each class behind the unlabeled marker.
-
-    The per-class keep order comes from a permutation stream that does not
-    depend on alpha, so the labeled set at a smaller alpha is a subset of the
-    labeled set at any larger alpha (nested subsets). Per class,
-    round(alpha · n_c) labels survive. Inputs and true labels are untouched.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    return replace(
-        dataset, train_labels=_masked_label_array(dataset.train_y, alpha, rng)
-    )
 
 
 def augment(x: np.ndarray, cfg: AugConfig, rng: Rng) -> np.ndarray:
@@ -304,17 +296,17 @@ def pretrain(
 ) -> tuple[TrainState, list[StepMetrics]]:
     """Run (or resume) momentum-encoder pretraining.
 
-    The label view used for targets is recomputed here from the dataset seed
-    and ``cfg.train.label_ratio`` — the config is authoritative, whatever
-    masking state the dataset object carries. ``state`` continues a previous
-    run from ``state.step``; randomness is re-derived from the config seed
-    and the step counter, so stopping and resuming produces the same
-    trajectory as an uninterrupted run. Returns the final state and the
+    The label view used for targets is derived here from the ground truth,
+    the dataset seed and ``cfg.train.label_ratio``. ``state`` continues a
+    previous run from ``state.step``; randomness is re-derived from the
+    config seed and the step counter, so stopping and resuming produces the
+    same trajectory as an uninterrupted run. Returns the final state and the
     metrics rows produced during this call.
     """
     train_cfg = cfg.train
-    masked = mask_labels(dataset, train_cfg.label_ratio, Rng(dataset.spec.seed))
-    labels = masked.train_labels
+    labels = mask_labels(
+        dataset.train_y, train_cfg.label_ratio, Rng(dataset.spec.seed)
+    )
     if state is None:
         state = init_state(cfg.model, train_cfg, dataset.train_x.shape[1])
     root = Rng(train_cfg.seed)

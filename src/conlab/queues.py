@@ -8,7 +8,7 @@ spurious positive before real keys arrive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class PairQueue:
     features: np.ndarray  # (K, D) unit-norm rows
     labels: np.ndarray  # (K,) int64, -1 for unlabeled
     cursor: int = 0  # next write position
-    inserted: int = 0  # lifetime insertions, capped at capacity
 
     @property
     def capacity(self) -> int:
@@ -65,12 +64,10 @@ def push_batch(queue: PairQueue, keys: np.ndarray, labels: np.ndarray) -> PairQu
     stored = queue.labels.copy()
     features[idx] = keys
     stored[idx] = labels
-    return replace(
-        queue,
+    return PairQueue(
         features=features,
         labels=stored,
         cursor=int((queue.cursor + n) % queue.capacity),
-        inserted=int(min(queue.inserted + n, queue.capacity)),
     )
 
 

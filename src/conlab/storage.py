@@ -18,7 +18,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,9 +31,10 @@ from .config import (
     config_to_dict,
     run_id,
 )
-from .model import EncoderParams
+from .model import EncoderParams, init_params
+from .numerics import Rng
 from .pipeline import Dataset, StepMetrics, TrainState
-from .queues import PairQueue
+from .queues import PairQueue, init_queue
 
 MAGIC = b"UMC1"
 FORMAT_VERSION = 1
@@ -134,43 +136,62 @@ def read_container(path):
     return header, arrays
 
 
+def _check_arrays(what: str, arrays: dict, layout) -> None:
+    """Require every (name, shape, dtype) of ``layout`` among ``arrays``.
+
+    Arrays the layout does not name are ignored, so a file that still
+    carries a field no longer read (a dataset's ``train_labels``) loads.
+    """
+    for name, shape, dtype in layout:
+        if name not in arrays:
+            raise StorageError(f"{what} file lacks {name!r}")
+        arr = arrays[name]
+        if arr.shape != shape or arr.dtype != dtype:
+            raise StorageError(
+                f"{what} array {name!r} has shape {arr.shape} and dtype "
+                f"{arr.dtype}, expected {shape} and {np.dtype(dtype)}"
+            )
+
+
+def _is_count(value) -> bool:
+    # the rule read_container applies to shapes: a JSON integer, not a bool
+    return type(value) is int and value >= 0
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
 
+def _dataset_layout(spec):
+    """(name, shape, dtype) of each array field of a Dataset, in field order."""
+    c, d, n, m = spec.n_classes, spec.input_dim, spec.n_train, spec.n_test
+    return [
+        ("means", (c, d), np.float64),
+        ("train_x", (n, d), np.float64),
+        ("train_y", (n,), np.int64),
+        ("test_x", (m, d), np.float64),
+        ("test_y", (m,), np.int64),
+    ]
+
+
 def save_dataset(path, dataset: Dataset) -> None:
     header = {"kind": "dataset", "spec": asdict(dataset.spec)}
-    write_container(
-        path,
-        header,
-        [
-            ("means", dataset.means),
-            ("train_x", dataset.train_x),
-            ("train_y", dataset.train_y),
-            ("train_labels", dataset.train_labels),
-            ("test_x", dataset.test_x),
-            ("test_y", dataset.test_y),
-        ],
-    )
+    arrays = [
+        (f.name, getattr(dataset, f.name)) for f in fields(Dataset) if f.name != "spec"
+    ]
+    write_container(path, header, arrays)
 
 
 def load_dataset(path) -> Dataset:
     header, arrays = read_container(path)
     if header.get("kind") != "dataset":
         raise StorageError(f"not a dataset file (kind={header.get('kind')!r})")
-    try:
-        spec = config_from_dict({"dataset": header["spec"]}).dataset
-        return Dataset(
-            spec=spec,
-            means=arrays["means"],
-            train_x=arrays["train_x"],
-            train_y=arrays["train_y"],
-            train_labels=arrays["train_labels"],
-            test_x=arrays["test_x"],
-            test_y=arrays["test_y"],
-        )
-    except KeyError as exc:
-        raise StorageError(f"dataset file lacks {exc}") from None
+    if "spec" not in header:
+        raise StorageError("dataset file lacks 'spec'")
+    spec = config_from_dict({"dataset": header["spec"]}).dataset
+    layout = _dataset_layout(spec)
+    _check_arrays("dataset", arrays, layout)
+    return Dataset(spec=spec, **{name: arrays[name] for name, _, _ in layout})
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +221,9 @@ def _params_from_arrays(prefix: str, arrays, n_trunk: int) -> EncoderParams:
     return EncoderParams(trunk=trunk, proj=proj)
 
 
-def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
-    """All training state in one container; the rng needs no raw state —
-    streams are derived from (config seed, step), both recorded here."""
-    header = {
-        "kind": "checkpoint",
-        "config": config_to_dict(cfg),
-        "step": state.step,
-        "rng": {"seed": cfg.train.seed, "step": state.step},
-        "dims": {
-            "input_dim": state.params_q.input_dim,
-            "trunk": [w.shape[1] for w, _ in state.params_q.trunk],
-            "proj_hidden": state.params_q.proj[0][0].shape[1],
-            "embed_dim": state.params_q.embed_dim,
-        },
-        "queue": {"cursor": state.queue.cursor, "inserted": state.queue.inserted},
-    }
-    arrays = (
+def _state_arrays(state: TrainState):
+    """Every array of a training state, named and ordered as stored."""
+    return (
         _param_arrays("q", state.params_q)
         + _param_arrays("k", state.params_k)
         + _param_arrays("v", state.velocity)
@@ -225,47 +232,90 @@ def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
             ("queue.labels", state.queue.labels),
         ]
     )
-    write_container(path, header, arrays)
+
+
+def _checkpoint_layout(cfg: RunConfig):
+    """(name, shape, dtype) of every array of a state trained under ``cfg``.
+
+    Built from the two constructors ``init_state`` composes, without its
+    parameter copy: the traced benchmark counts ``map_leaves`` calls exactly.
+    """
+    rng = Rng(0)  # only the shapes are used
+    params = init_params(
+        cfg.dataset.input_dim,
+        cfg.model.trunk,
+        cfg.model.proj_hidden_dim,
+        cfg.model.embed_dim,
+        rng,
+    )
+    queue = init_queue(cfg.train.queue_size, cfg.model.embed_dim, rng)
+    template = TrainState(
+        params_q=params, params_k=params, velocity=params, queue=queue, step=0
+    )
+    return [(name, a.shape, a.dtype) for name, a in _state_arrays(template)]
+
+
+def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
+    """All training state in one container; the rng needs no raw state —
+    streams are derived from (config seed, step), both recorded here."""
+    header = {
+        "kind": "checkpoint",
+        "config": config_to_dict(cfg),
+        "step": state.step,
+        "queue": {"cursor": state.queue.cursor},
+    }
+    write_container(path, header, _state_arrays(state))
 
 
 def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
+    """The arrays must have the layout the stored config implies; header
+    keys other than config, step and queue cursor are ignored."""
     header, arrays = read_container(path)
     if header.get("kind") != "checkpoint":
         raise StorageError(f"not a checkpoint file (kind={header.get('kind')!r})")
     try:
         cfg = config_from_dict(header["config"])
-        n_trunk = len(header["dims"]["trunk"])
-        queue = PairQueue(
-            features=arrays["queue.features"],
-            labels=arrays["queue.labels"],
-            cursor=int(header["queue"]["cursor"]),
-            inserted=int(header["queue"]["inserted"]),
-        )
-        state = TrainState(
-            params_q=_params_from_arrays("q", arrays, n_trunk),
-            params_k=_params_from_arrays("k", arrays, n_trunk),
-            velocity=_params_from_arrays("v", arrays, n_trunk),
-            queue=queue,
-            step=int(header["step"]),
-        )
+        step, queue = header["step"], header["queue"]
     except KeyError as exc:
         raise StorageError(f"checkpoint file lacks {exc}") from None
+    if not _is_count(step):
+        raise StorageError(f"checkpoint step must be an integer >= 0, got {step!r}")
+    capacity = cfg.train.queue_size
+    cursor = queue.get("cursor") if isinstance(queue, dict) else None
+    if not (_is_count(cursor) and cursor < capacity):
+        raise StorageError(
+            f"checkpoint queue cursor must be an integer in [0, {capacity}), "
+            f"got {queue!r}"
+        )
+    _check_arrays("checkpoint", arrays, _checkpoint_layout(cfg))
+    n_trunk = len(cfg.model.trunk)
+    state = TrainState(
+        params_q=_params_from_arrays("q", arrays, n_trunk),
+        params_k=_params_from_arrays("k", arrays, n_trunk),
+        velocity=_params_from_arrays("v", arrays, n_trunk),
+        queue=PairQueue(
+            features=arrays["queue.features"],
+            labels=arrays["queue.labels"],
+            cursor=cursor,
+        ),
+        step=step,
+    )
     return state, cfg
 
 
 # ---------------------------------------------------------------------------
-# metrics CSV
+# metrics CSV: one column per StepMetrics field, parsed by its annotated type
 
-METRICS_HEADER = "step,epoch,loss,mean_positives,grad_norm,lr"
+_METRIC_COLUMNS = [
+    (f.name, get_type_hints(StepMetrics)[f.name]) for f in fields(StepMetrics)
+]
+METRICS_HEADER = ",".join(name for name, _ in _METRIC_COLUMNS)
 
 
 def format_metrics_row(m: StepMetrics) -> str:
     # repr() floats round-trip exactly, which the resume-equality contract
     # depends on.
-    return (
-        f"{m.step},{m.epoch},{m.loss!r},{m.mean_positives!r},"
-        f"{m.grad_norm!r},{m.lr!r}"
-    )
+    return ",".join(repr(getattr(m, name)) for name, _ in _METRIC_COLUMNS)
 
 
 class MetricsWriter:
@@ -309,21 +359,18 @@ def read_metrics(path) -> list[StepMetrics]:
         header = fh.readline().strip()
         if header != METRICS_HEADER:
             raise StorageError(f"unexpected metrics header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            step, epoch, loss, mean_pos, gnorm, lr = line.split(",")
-            rows.append(
-                StepMetrics(
-                    step=int(step),
-                    epoch=int(epoch),
-                    loss=float(loss),
-                    mean_positives=float(mean_pos),
-                    grad_norm=float(gnorm),
-                    lr=float(lr),
+            values = line.split(",")
+            if len(values) != len(_METRIC_COLUMNS):
+                raise StorageError(
+                    f"metrics line {lineno}: {len(values)} columns, "
+                    f"expected {len(_METRIC_COLUMNS)}"
                 )
-            )
+            pairs = zip(_METRIC_COLUMNS, values)
+            rows.append(StepMetrics(**{name: kind(v) for (name, kind), v in pairs}))
     return rows
 
 

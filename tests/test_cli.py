@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conlab.cli import main
@@ -23,6 +24,7 @@ from conlab.storage import (
     read_container,
     read_metrics,
     save_checkpoint,
+    write_container,
 )
 
 SMALL_CONFIG = {
@@ -288,6 +290,27 @@ def _write_umc1(path, header):
     path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw)
 
 
+def _edit_header(path, edit):
+    """Rewrite a container's header in place, keeping its array bytes."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    header = json.loads(data[8 : 8 + hlen])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + data[8 + hlen :])
+
+
+def _entry(header, name):
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
+def _fresh_checkpoint(tmp_path, config):
+    cfg = load_config(config)
+    ckpt = tmp_path / "ckpt.umc"
+    save_checkpoint(ckpt, init_state(cfg.model, cfg.train, cfg.dataset.input_dim), cfg)
+    return ckpt
+
+
 MALFORMED_HEADERS = {
     "no_arrays": {"format_version": 1, "kind": "dataset"},
     "entry_without_shape": {
@@ -330,9 +353,7 @@ def test_dataset_without_arrays_exit_2(workspace, capsys):
 
 def test_checkpoint_without_arrays_exit_2(workspace, capsys):
     tmp_path, config, data = workspace
-    cfg = load_config(config)
-    ckpt = tmp_path / "ckpt.umc"
-    save_checkpoint(ckpt, init_state(cfg.model, cfg.train, cfg.dataset.input_dim), cfg)
+    ckpt = _fresh_checkpoint(tmp_path, config)
     header, _ = read_container(ckpt)
     header["arrays"] = []
     _write_umc1(ckpt, header)
@@ -342,6 +363,104 @@ def test_checkpoint_without_arrays_exit_2(workspace, capsys):
     )
     assert code == 2
     assert "checkpoint file lacks" in capsys.readouterr().err
+
+
+BAD_CHECKPOINT_HEADERS = {
+    "queue_not_object": lambda h: h.update(queue=5),
+    "cursor_not_int": lambda h: h.update(queue={"cursor": "x"}),
+    "negative_step": lambda h: h.update(step=-1),
+    "no_config": lambda h: h.pop("config"),
+    "trunk_w_transposed": lambda h: _entry(h, "q.trunk.0.w")["shape"].reverse(),
+    "labels_as_f8": lambda h: _entry(h, "queue.labels").update(dtype="f8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_HEADERS))
+def test_bad_checkpoint_header_exit_2(workspace, capsys, case):
+    tmp_path, config, data = workspace
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    _edit_header(ckpt, BAD_CHECKPOINT_HEADERS[case])
+    code = main(
+        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(tmp_path / "p.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_dataset_with_reshaped_train_x_exit_2(workspace, capsys):
+    # the same bytes declared as (2n, d/2) instead of (n, d)
+    tmp_path, config, data = workspace
+    _edit_header(
+        data, lambda h: _entry(h, "train_x").update(shape=[2 * 192, 8 // 2])
+    )
+    code = main(
+        ["pretrain", "--config", str(config), "--data", str(data),
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dataset array 'train_x' has shape (384, 4)" in err
+    assert "Traceback" not in err
+
+
+def _to_parent_layout(data, ckpt):
+    """Rewrite both files as earlier versions wrote them: the dataset with a
+    train_labels array, the checkpoint header with dims, rng and inserted."""
+    header, arrays = read_container(data)
+    del header["format_version"], header["arrays"]
+    names = ["means", "train_x", "train_y", "train_labels", "test_x", "test_y"]
+    arrays["train_labels"] = arrays["train_y"].copy()
+    write_container(data, header, [(n, arrays[n]) for n in names])
+    header, arrays = read_container(ckpt)
+    order = [e["name"] for e in header.pop("arrays")]
+    del header["format_version"]
+    header["rng"] = {"seed": SMALL_CONFIG["train"]["seed"], "step": header["step"]}
+    header["dims"] = {
+        "input_dim": 8, "trunk": [16, 12], "proj_hidden": 12, "embed_dim": 8
+    }
+    header["queue"]["inserted"] = 48
+    write_container(ckpt, header, [(n, arrays[n]) for n in order])
+
+
+def test_parent_layout_files_load_and_resume_identically(workspace):
+    tmp_path, config, data = workspace
+    base = ["pretrain", "--config", str(config), "--out-dir"]
+    assert main(base + [str(tmp_path / "a"), "--data", str(data),
+                        "--max-steps", "5"]) == 0
+    old_data, old_ckpt = tmp_path / "old_data.umc", tmp_path / "old_ckpt.umc"
+    shutil.copy(data, old_data)
+    shutil.copy(tmp_path / "a" / "checkpoint.umc", old_ckpt)
+    _to_parent_layout(old_data, old_ckpt)
+    assert "train_labels" in read_container(old_data)[1]
+    assert "dims" in read_container(old_ckpt)[0]
+
+    new_ds, old_ds = load_dataset(data), load_dataset(old_data)
+    for name in ("means", "train_x", "train_y", "test_x", "test_y"):
+        assert np.array_equal(getattr(new_ds, name), getattr(old_ds, name))
+    assert main(base + [str(tmp_path / "new_run"), "--data", str(data),
+                        "--resume", str(tmp_path / "a" / "checkpoint.umc")]) == 0
+    assert main(base + [str(tmp_path / "old_run"), "--data", str(old_data),
+                        "--resume", str(old_ckpt)]) == 0
+    assert (tmp_path / "new_run" / "checkpoint.umc").read_bytes() == (
+        tmp_path / "old_run" / "checkpoint.umc"
+    ).read_bytes()
+    assert (tmp_path / "new_run" / "metrics.csv").read_text() == (
+        tmp_path / "old_run" / "metrics.csv"
+    ).read_text()
+
+
+def test_checkpoint_with_empty_dims_loads(workspace):
+    # a header key that is no longer read, whatever its value
+    tmp_path, config, data = workspace
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    _edit_header(ckpt, lambda h: h.update(dims=[]))
+    code = main(
+        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(tmp_path / "p.json")]
+    )
+    assert code == 0
 
 
 def test_repeated_resume_writes_each_step_once(workspace):

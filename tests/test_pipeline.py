@@ -69,11 +69,6 @@ def test_dataset_deterministic():
     assert not np.array_equal(a.train_x, c.train_x)
 
 
-def test_dataset_starts_fully_labeled(small_dataset):
-    assert np.array_equal(small_dataset.train_labels, small_dataset.train_y)
-    assert small_dataset.train_labels is not small_dataset.train_y
-
-
 def test_dataset_invalid_spec_rejected():
     with pytest.raises(ValueError, match="n_classes"):
         generate_dataset(DatasetSpec(n_classes=1))
@@ -84,34 +79,31 @@ def test_dataset_invalid_spec_rejected():
 
 
 def test_mask_endpoints(small_dataset):
-    full = mask_labels(small_dataset, 1.0, Rng(0))
-    assert np.array_equal(full.train_labels, small_dataset.train_y)
-    empty = mask_labels(small_dataset, 0.0, Rng(0))
-    assert np.all(empty.train_labels == UNLABELED)
+    y = small_dataset.train_y
+    assert np.array_equal(mask_labels(y, 1.0, Rng(0)), y)
+    assert np.all(mask_labels(y, 0.0, Rng(0)) == UNLABELED)
 
 
 def test_mask_is_class_stratified(small_dataset):
     spec = small_dataset.spec
     for alpha in (0.25, 0.5, 0.8):
-        masked = mask_labels(small_dataset, alpha, Rng(3))
+        masked = mask_labels(small_dataset.train_y, alpha, Rng(3))
         for c in range(spec.n_classes):
             n_c = int(np.sum(small_dataset.train_y == c))
-            labeled = int(np.sum(masked.train_labels == c))
+            labeled = int(np.sum(masked == c))
             assert labeled == int(np.floor(alpha * n_c + 0.5))
 
 
 def test_mask_never_relabels(small_dataset):
-    masked = mask_labels(small_dataset, 0.6, Rng(4))
-    visible = masked.train_labels != UNLABELED
-    assert np.array_equal(
-        masked.train_labels[visible], small_dataset.train_y[visible]
-    )
+    masked = mask_labels(small_dataset.train_y, 0.6, Rng(4))
+    visible = masked != UNLABELED
+    assert np.array_equal(masked[visible], small_dataset.train_y[visible])
 
 
 def test_mask_nested_across_alpha(small_dataset):
     # the same rng seed yields nested labeled sets as alpha grows
     grids = [
-        mask_labels(small_dataset, a, Rng(7)).train_labels != UNLABELED
+        mask_labels(small_dataset.train_y, a, Rng(7)) != UNLABELED
         for a in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     for smaller, larger in zip(grids, grids[1:]):
@@ -119,24 +111,21 @@ def test_mask_nested_across_alpha(small_dataset):
 
 
 def test_mask_leaves_inputs_untouched(small_dataset):
-    x_before = small_dataset.train_x.copy()
     y_before = small_dataset.train_y.copy()
-    masked = mask_labels(small_dataset, 0.5, Rng(8))
-    assert masked.train_x is small_dataset.train_x
-    assert np.array_equal(small_dataset.train_x, x_before)
+    masked = mask_labels(small_dataset.train_y, 0.5, Rng(8))
+    assert masked is not small_dataset.train_y
     assert np.array_equal(small_dataset.train_y, y_before)
-    assert np.array_equal(masked.train_y, y_before)
 
 
 def test_mask_alpha_out_of_range(small_dataset):
     for alpha in (-0.1, 1.1):
         with pytest.raises(ValueError, match="alpha"):
-            mask_labels(small_dataset, alpha, Rng(0))
+            mask_labels(small_dataset.train_y, alpha, Rng(0))
 
 
 def test_mask_deterministic(small_dataset):
-    a = mask_labels(small_dataset, 0.4, Rng(11)).train_labels
-    b = mask_labels(small_dataset, 0.4, Rng(11)).train_labels
+    a = mask_labels(small_dataset.train_y, 0.4, Rng(11))
+    b = mask_labels(small_dataset.train_y, 0.4, Rng(11))
     assert np.array_equal(a, b)
 
 
@@ -216,7 +205,7 @@ def test_train_step_updates_state(small_cfg, small_dataset):
     train_cfg = small_cfg.train
     state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
     x = small_dataset.train_x[: train_cfg.batch_size]
-    labels = small_dataset.train_labels[: train_cfg.batch_size]
+    labels = small_dataset.train_y[: train_cfg.batch_size]
     new_state, metrics = train_step(
         state, x, labels, train_cfg, lr=0.05, rng=Rng(0).stream("aug", 0)
     )
@@ -234,7 +223,7 @@ def test_train_step_key_encoder_trails_query(small_cfg, small_dataset):
     train_cfg = small_cfg.train
     state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
     x = small_dataset.train_x[: train_cfg.batch_size]
-    labels = small_dataset.train_labels[: train_cfg.batch_size]
+    labels = small_dataset.train_y[: train_cfg.batch_size]
     new_state, _ = train_step(
         state, x, labels, train_cfg, lr=0.05, rng=Rng(0).stream("aug", 0)
     )
@@ -252,7 +241,7 @@ def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset):
     state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
     # seed the queue with labels that would match
     x = small_dataset.train_x[: train_cfg.batch_size]
-    labels = small_dataset.train_labels[: train_cfg.batch_size]
+    labels = small_dataset.train_y[: train_cfg.batch_size]
     state, _ = train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0))
     seen = {}
 
@@ -275,7 +264,7 @@ def test_logits_sink_sees_queue_width(small_cfg, small_dataset):
         captured.append((step, logits.shape, targets.shape))
 
     x = small_dataset.train_x[: train_cfg.batch_size]
-    labels = small_dataset.train_labels[: train_cfg.batch_size]
+    labels = small_dataset.train_y[: train_cfg.batch_size]
     train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0), logits_sink=sink)
     assert captured == [
         (0, (train_cfg.batch_size, 1 + train_cfg.queue_size),
@@ -323,16 +312,6 @@ def test_pretrain_resume_matches_uninterrupted(small_cfg, small_dataset):
     assert np.array_equal(end_state.queue.features, full_state.queue.features)
     assert np.array_equal(end_state.queue.labels, full_state.queue.labels)
     assert first_hist + rest_hist == full_hist
-
-
-def test_pretrain_config_label_ratio_wins(small_cfg, small_dataset):
-    # a dataset arriving with every label hidden trains identically to the
-    # fresh dataset: the config's label_ratio is re-applied inside pretrain
-    hidden = mask_labels(small_dataset, 0.0, Rng(small_dataset.spec.seed))
-    state_a, hist_a = pretrain(hidden, small_cfg)
-    state_b, hist_b = pretrain(small_dataset, small_cfg)
-    assert params_equal(state_a.params_q, state_b.params_q)
-    assert hist_a == hist_b
 
 
 def test_pretrain_alpha_zero_unicon_equals_infonce(small_cfg, small_dataset):

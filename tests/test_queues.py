@@ -23,9 +23,7 @@ def make_queue(labels, dim=4, seed=0):
     """A full queue with prescribed labels and arbitrary unit features."""
     labels = np.asarray(labels, dtype=np.int64)
     features = unit_rows(np.random.default_rng(seed), labels.size, dim)
-    return PairQueue(
-        features=features, labels=labels, cursor=0, inserted=labels.size
-    )
+    return PairQueue(features=features, labels=labels, cursor=0)
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +68,6 @@ def test_push_does_not_mutate_input_queue():
     push_batch(q0, unit_rows(np.random.default_rng(0), 2, 3), np.array([1, 1]))
     assert np.array_equal(q0.features, before)
     assert q0.cursor == 0
-
-
-def test_inserted_saturates_at_capacity():
-    q = init_queue(4, 3, Rng(3))
-    rng = np.random.default_rng(5)
-    assert q.inserted == 0
-    q = push_batch(q, unit_rows(rng, 3, 3), np.array([0, 0, 0]))
-    assert q.inserted == 3
-    for _ in range(3):
-        q = push_batch(q, unit_rows(rng, 3, 3), np.array([1, 1, 1]))
-        assert q.inserted == 4
 
 
 def test_push_validation():

@@ -129,7 +129,7 @@ def test_dataset_roundtrip(tmp_path, small_dataset):
     save_dataset(path, small_dataset)
     loaded = load_dataset(path)
     assert loaded.spec == small_dataset.spec
-    for name in ("means", "train_x", "train_y", "train_labels", "test_x", "test_y"):
+    for name in ("means", "train_x", "train_y", "test_x", "test_y"):
         assert np.array_equal(getattr(loaded, name), getattr(small_dataset, name))
     assert loaded.train_y.dtype == np.int64
 
@@ -165,7 +165,6 @@ def test_checkpoint_roundtrip(tmp_path, small_cfg, small_dataset):
     assert np.array_equal(loaded_state.queue.features, state.queue.features)
     assert np.array_equal(loaded_state.queue.labels, state.queue.labels)
     assert loaded_state.queue.cursor == state.queue.cursor
-    assert loaded_state.queue.inserted == state.queue.inserted
     assert loaded_state.queue.labels.dtype == np.int64
 
 
@@ -184,7 +183,8 @@ def test_checkpoint_header_records_rng_position(tmp_path, small_cfg, small_datas
     save_checkpoint(path, state, small_cfg)
     header, _ = read_container(path)
     assert header["kind"] == "checkpoint"
-    assert header["rng"] == {"seed": small_cfg.train.seed, "step": 7}
+    # the rng position is (config seed, step): both are recorded once
+    assert header["config"]["train"]["seed"] == small_cfg.train.seed
     assert header["step"] == 7
     digest = config_digest(small_cfg)
     from conlab.config import config_from_dict
@@ -254,6 +254,17 @@ def test_metrics_bad_header_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("step,loss\n0,1.0\n")
     with pytest.raises(StorageError, match="unexpected metrics header"):
+        read_metrics(path)
+
+
+def test_metrics_header_text_is_stable():
+    assert METRICS_HEADER == "step,epoch,loss,mean_positives,grad_norm,lr"
+
+
+def test_metrics_row_with_wrong_column_count_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{METRICS_HEADER}\n0,0,2.5,1.0,0.1,0.06\n1,0,2.5,1.0,0.1\n")
+    with pytest.raises(StorageError, match="metrics line 3: 5 columns, expected 6"):
         read_metrics(path)
 
 
