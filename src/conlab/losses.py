@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import masked_lse_rows, sigmoid, softplus
+from .numerics import sigmoid, softplus
 
 LOSS_KINDS = ("infonce", "unicon", "unicon_out", "supcon_out", "supcon_in")
 
@@ -48,72 +48,136 @@ def _check_batch(kind: str, logits: np.ndarray, targets: np.ndarray):
         raise ValueError("logits and targets must be matching 2-d arrays")
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
-    pos_counts = targets.sum(axis=1)
+    pf = targets.astype(np.float64)
+    pos_counts = pf.sum(axis=1)
     if kind == "infonce":
         if np.any(pos_counts != 1):
             raise ValueError("infonce requires single positive")
     elif np.any(pos_counts < 1):
         raise ValueError(f"{kind} requires a positive")
-    return logits, targets
+    return logits, pf
 
 
-def _softmax_rows(logits: np.ndarray, lse_all: np.ndarray) -> np.ndarray:
-    return np.exp(logits - lse_all[:, None])
+# Every kernel below takes the positives as a float mask pf (1.0 at a
+# positive, 0.0 elsewhere) and nf = 1 - pf, makes a single exp pass over the
+# batch, and forms masked sums and gradients by multiplying with the masks.
+# Multiplying by 0.0 or 1.0 and adding 0.0 are exact, so a masked lane never
+# perturbs a kept one. The kernels reuse their batch-sized arrays in place;
+# written with temporaries, the same formulas ran about a sixth slower in
+# training (64x513 logits on a 2-vCPU host).
 
 
-def _masked_exp(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # exp(x) where mask holds, exact 0 elsewhere; x may be +inf off-mask.
-    return np.exp(np.where(mask, x, -np.inf))
+def _masked_max(t, drop, out):
+    """Row max of t over the lanes where the 0/1 float mask ``drop`` is 0.
+
+    The dropped lanes are pushed below every entry of t, so a plain row max
+    finds the kept maximum exactly; a row with no kept lane gets a finite
+    value below all of its entries. ``out`` is scratch space.
+    """
+    bound = max(t.max(initial=0.0), -t.min(initial=0.0))
+    np.multiply(drop, -(1.0 + 2.0 * bound), out=out)
+    out += t
+    return out.max(axis=1)
 
 
-def _unicon_batch(logits, pos):
-    neg = ~pos
-    has_neg = neg.any(axis=1)
-    a = masked_lse_rows(logits, neg)
-    b = masked_lse_rows(-logits, pos)
-    a_safe = np.where(has_neg, a, 0.0)
-    t = a_safe + b
-    sig = sigmoid(t)
-    grad_neg = sig[:, None] * _masked_exp(logits - a_safe[:, None], neg)
-    grad_pos = -sig[:, None] * _masked_exp(-logits - b[:, None], pos)
-    values = np.where(has_neg, softplus(t), 0.0)
-    grads = np.where(has_neg[:, None], grad_neg + grad_pos, 0.0)
+def _softplus_of_lse(t, pf, sign):
+    """softplus(lse_neg(t) + sign * lse_pos(t)) per row, and its gradient.
+
+    lse_neg and lse_pos are the log-sum-exp of t over the negatives and over
+    the positives. Each lane is shifted by the max of its own side before the
+    one exp pass, so every exponent is <= 0 and each side's largest term is
+    exactly 1: neither sum underflows, however far apart the sides lie. A
+    single row max would flush the lower side to zero at +-600.
+
+    The returned gradient is sigmoid(x) * softmax_neg(t) at the negatives and
+    -sigmoid(x) * softmax_pos(t) at the positives, which is the gradient in
+    the logits both for unicon (t = -s at the positives, sign +1) and for
+    supcon_in (t = s, sign -1). A row without a negative has lse_neg = -inf,
+    so its value and gradient are 0. Overwrites t.
+    """
+    nf = 1.0 - pf
+    e = np.empty_like(t)
+    m_neg = _masked_max(t, pf, e)
+    m_pos = _masked_max(t, nf, e)
+    np.subtract(t, np.multiply(nf, m_neg[:, None], out=e), out=e)
+    e -= np.multiply(pf, m_pos[:, None], out=t)
+    np.exp(e, out=e)
+    sum_neg = np.einsum("ij,ij->i", e, nf)
+    sum_pos = np.einsum("ij,ij->i", e, pf)
+    has_neg = sum_neg > 0.0  # the max negative contributes exactly 1
+    sum_neg = np.where(has_neg, sum_neg, 1.0)
+    lse_neg = np.where(has_neg, m_neg + np.log(sum_neg), -np.inf)
+    x = lse_neg + sign * (m_pos + np.log(sum_pos))
+    sig = sigmoid(x)
+    grads = np.multiply(nf, (sig / sum_neg)[:, None], out=t)
+    grads -= np.multiply(pf, (sig / sum_pos)[:, None], out=nf)
+    grads *= e
+    return softplus(x), grads
+
+
+def _unicon_batch(logits, pf):
+    # softplus(lse(s-) + lse(-s+)): the positives enter negated
+    t = np.multiply(pf, -2.0)
+    t += 1.0
+    t *= logits
+    return _softplus_of_lse(t, pf, 1.0)
+
+
+def _supcon_in_batch(logits, pf):
+    # lse_all - lse_pos + log|P| = softplus(lse(s-) - lse(s+)) + log|P|
+    values, grads = _softplus_of_lse(logits.copy(), pf, -1.0)
+    return values + np.log(pf.sum(axis=1)), grads
+
+
+def _unicon_out_batch(logits, pf):
+    # Mean over positives p of softplus(x_p), x_p = lse_neg - s_p. The one
+    # exp pass is e = exp(-|y|) with y = m_neg - s, and x = y + log S with
+    # S = sum_neg e. Where y >= 0 (every negative, and the positives below
+    # m_neg) x >= 0 and g = e / S = exp(-x); on the other lanes, nk = 1,
+    # g = e * S = exp(x). So softplus(x) = (1 - nk) * x + log1p(g) and
+    # sigmoid(x) = (1 - nk + nk * g) / (1 + g), and at the negatives g is
+    # the softmax over the negatives.
+    nf = 1.0 - pf
+    x = np.empty_like(logits)
+    np.subtract(_masked_max(logits, pf, x)[:, None], logits, out=x)
+    nk = (x < 0.0).astype(np.float64)
+    g = np.abs(x)
+    np.negative(g, out=g)
+    np.exp(g, out=g)
+    sum_neg = np.einsum("ij,ij->i", g, nf)
+    has_neg = sum_neg > 0.0
+    sum_neg = np.where(has_neg, sum_neg, 1.0)[:, None]
+    x += np.log(sum_neg)
+    # g = e / S, times S**2 on the nk lanes (within a few ulp of e * S)
+    tmp = np.multiply(nk, sum_neg * sum_neg - 1.0)
+    tmp += 1.0
+    g /= sum_neg
+    g *= tmp
+    w = has_neg / pf.sum(axis=1)
+    np.subtract(x, np.multiply(nk, x, out=tmp), out=tmp)
+    tmp += np.log1p(g, out=x)
+    values = np.einsum("ij,ij->i", tmp, pf) * w
+    pos_sig = np.subtract(1.0, nk, out=x)
+    pos_sig += np.multiply(nk, g, out=tmp)
+    pos_sig /= np.add(g, 1.0, out=tmp)
+    pos_sig *= pf
+    grads = np.multiply(nf, g, out=tmp)
+    grads *= (pos_sig.sum(axis=1) * w)[:, None]
+    grads -= np.multiply(pos_sig, w[:, None], out=nk)
     return values, grads
 
 
-def _unicon_out_batch(logits, pos):
-    neg = ~pos
-    has_neg = neg.any(axis=1)
-    n_pos = pos.sum(axis=1).astype(np.float64)
-    a = masked_lse_rows(logits, neg)
-    a_safe = np.where(has_neg, a, 0.0)
-    t = a_safe[:, None] - logits  # meaningful at positive entries
-    per_pos_value = np.where(pos, softplus(t), 0.0)
-    per_pos_sig = np.where(pos, sigmoid(t), 0.0)
-    values = np.where(has_neg, per_pos_value.sum(axis=1) / n_pos, 0.0)
-    grad_pos = -per_pos_sig / n_pos[:, None]
-    sig_total = per_pos_sig.sum(axis=1) / n_pos
-    grad_neg = sig_total[:, None] * _masked_exp(logits - a_safe[:, None], neg)
-    grads = np.where(has_neg[:, None], grad_pos + grad_neg, 0.0)
-    return values, grads
-
-
-def _supcon_out_batch(logits, pos):
-    n_pos = pos.sum(axis=1).astype(np.float64)
-    lse_all = masked_lse_rows(logits, np.ones_like(pos))
-    mean_pos = np.sum(np.where(pos, logits, 0.0), axis=1) / n_pos
-    values = lse_all - mean_pos
-    grads = _softmax_rows(logits, lse_all) - pos / n_pos[:, None]
-    return values, grads
-
-
-def _supcon_in_batch(logits, pos):
-    n_pos = pos.sum(axis=1).astype(np.float64)
-    lse_all = masked_lse_rows(logits, np.ones_like(pos))
-    lse_pos = masked_lse_rows(logits, pos)
-    values = lse_all - lse_pos + np.log(n_pos)
-    softmax_pos = _masked_exp(logits - lse_pos[:, None], pos)
-    grads = _softmax_rows(logits, lse_all) - softmax_pos
+def _supcon_out_batch(logits, pf):
+    # mean over positives of lse_all - s_p; all lanes share one shift
+    n_pos = pf.sum(axis=1)
+    m = logits.max(axis=1)
+    e = np.subtract(logits, m[:, None])
+    np.exp(e, out=e)
+    total = e.sum(axis=1)
+    # both terms are >= 0, so a value near 0 keeps its relative accuracy
+    values = (m - np.einsum("ij,ij->i", logits, pf) / n_pos) + np.log(total)
+    grads = np.divide(e, total[:, None], out=e)
+    grads -= np.divide(pf, n_pos[:, None], out=pf)  # pf is not read again
     return values, grads
 
 

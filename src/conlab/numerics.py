@@ -67,24 +67,6 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def masked_lse_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp restricted to masked entries.
-
-    Rows whose mask is empty return -inf. Exact for rows with a single
-    masked entry.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    masked = np.where(mask, x, -np.inf)
-    m = np.max(masked, axis=1)
-    any_row = mask.any(axis=1)
-    m_safe = np.where(any_row, m, 0.0)
-    # shift under the mask *before* exponentiating: masked-out lanes become
-    # exp(-inf) = 0 instead of overflowing on large discarded values
-    s = np.sum(np.exp(masked - m_safe[:, None]), axis=1)
-    return np.where(any_row, m_safe + np.log(np.where(any_row, s, 1.0)), -np.inf)
-
-
 def _label_key(label: str) -> int:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")

@@ -31,10 +31,9 @@ from .config import (
     config_to_dict,
     run_id,
 )
-from .model import EncoderParams, init_params
-from .numerics import Rng
+from .model import EncoderParams
 from .pipeline import Dataset, StepMetrics, TrainState
-from .queues import PairQueue, init_queue
+from .queues import PairQueue
 
 MAGIC = b"UMC1"
 FORMAT_VERSION = 1
@@ -128,6 +127,10 @@ def read_container(path):
         )
         arr = arr.astype(np.float64)  # native order, writable copy
         if entry["dtype"] == "i8":
+            if not np.all((np.abs(arr) < 2**53) & (np.trunc(arr) == arr)):
+                raise StorageError(
+                    f"integer array {entry['name']!r} holds a non-integer value"
+                )
             arr = arr.astype(np.int64)
         arrays[entry["name"]] = arr
         offset += nbytes
@@ -137,7 +140,8 @@ def read_container(path):
 
 
 def _check_arrays(what: str, arrays: dict, layout) -> None:
-    """Require every (name, shape, dtype) of ``layout`` among ``arrays``.
+    """Require every (name, shape, dtype) of ``layout`` among ``arrays``,
+    with finite values in every float array.
 
     Arrays the layout does not name are ignored, so a file that still
     carries a field no longer read (a dataset's ``train_labels``) loads.
@@ -151,6 +155,8 @@ def _check_arrays(what: str, arrays: dict, layout) -> None:
                 f"{what} array {name!r} has shape {arr.shape} and dtype "
                 f"{arr.dtype}, expected {shape} and {np.dtype(dtype)}"
             )
+        if arr.dtype == np.float64 and not np.all(np.isfinite(arr)):
+            raise StorageError(f"{what} array {name!r} holds non-finite values")
 
 
 def _is_count(value) -> bool:
@@ -191,6 +197,12 @@ def load_dataset(path) -> Dataset:
     spec = config_from_dict({"dataset": header["spec"]}).dataset
     layout = _dataset_layout(spec)
     _check_arrays("dataset", arrays, layout)
+    for name in ("train_y", "test_y"):
+        labels = arrays[name]
+        if labels.size and (labels.min() < 0 or labels.max() >= spec.n_classes):
+            raise StorageError(
+                f"dataset array {name!r} holds labels outside [0, {spec.n_classes})"
+            )
     return Dataset(spec=spec, **{name: arrays[name] for name, _, _ in layout})
 
 
@@ -237,18 +249,21 @@ def _state_arrays(state: TrainState):
 def _checkpoint_layout(cfg: RunConfig):
     """(name, shape, dtype) of every array of a state trained under ``cfg``.
 
-    Built from the two constructors ``init_state`` composes, without its
-    parameter copy: the traced benchmark counts ``map_leaves`` calls exactly.
+    The template state is made of zero-stride broadcast views, which take no
+    memory: the config comes from the file being checked, and real arrays
+    would allocate whatever size it declares.
     """
-    rng = Rng(0)  # only the shapes are used
-    params = init_params(
-        cfg.dataset.input_dim,
-        cfg.model.trunk,
-        cfg.model.proj_hidden_dim,
-        cfg.model.embed_dim,
-        rng,
+    def zeros(*shape, dtype=np.float64):
+        return np.broadcast_to(np.zeros((), dtype), shape)
+
+    m = cfg.model
+    dims = [cfg.dataset.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim]
+    layers = tuple((zeros(a, b), zeros(b)) for a, b in zip(dims, dims[1:]))
+    params = EncoderParams(trunk=layers[:-2], proj=layers[-2:])
+    queue = PairQueue(
+        features=zeros(cfg.train.queue_size, m.embed_dim),
+        labels=zeros(cfg.train.queue_size, dtype=np.int64),
     )
-    queue = init_queue(cfg.train.queue_size, cfg.model.embed_dim, rng)
     template = TrainState(
         params_q=params, params_k=params, velocity=params, queue=queue, step=0
     )

@@ -4,14 +4,20 @@ These tests drive `conlab.cli.main(argv)` in-process; one test execs the
 installed console script to cover the entry point itself.
 """
 
+import contextlib
+import io
 import json
+import math
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conlab.cli import main
 from conlab.config import config_digest, config_to_dict, load_config
@@ -285,19 +291,26 @@ def test_corrupt_dataset_exit_2(tmp_path, capsys):
     assert "UMC1" in capsys.readouterr().err
 
 
-def _write_umc1(path, header):
+def _split(blob):
+    """A container's bytes as (header, array payload)."""
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    return json.loads(blob[8 : 8 + hlen]), blob[8 + hlen :]
+
+
+def _join(header, payload=b""):
     raw = json.dumps(header).encode()
-    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw)
+    return MAGIC + struct.pack("<I", len(raw)) + raw + payload
+
+
+def _write_umc1(path, header):
+    path.write_bytes(_join(header))
 
 
 def _edit_header(path, edit):
     """Rewrite a container's header in place, keeping its array bytes."""
-    data = path.read_bytes()
-    (hlen,) = struct.unpack("<I", data[4:8])
-    header = json.loads(data[8 : 8 + hlen])
+    header, payload = _split(path.read_bytes())
     edit(header)
-    raw = json.dumps(header).encode()
-    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + data[8 + hlen :])
+    path.write_bytes(_join(header, payload))
 
 
 def _entry(header, name):
@@ -372,6 +385,8 @@ BAD_CHECKPOINT_HEADERS = {
     "no_config": lambda h: h.pop("config"),
     "trunk_w_transposed": lambda h: _entry(h, "q.trunk.0.w")["shape"].reverse(),
     "labels_as_f8": lambda h: _entry(h, "queue.labels").update(dtype="f8"),
+    # a layout of 2**40-wide arrays must be checked without allocating it
+    "embed_dim_huge": lambda h: h["config"]["model"].update(embed_dim=2**40),
 }
 
 
@@ -402,6 +417,72 @@ def test_dataset_with_reshaped_train_x_exit_2(workspace, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "dataset array 'train_x' has shape (384, 4)" in err
+    assert "Traceback" not in err
+
+
+def _rewrite_array(path, name, edit):
+    """Rewrite one array of a container in place, keeping everything else."""
+    header, arrays = read_container(path)
+    order = [e["name"] for e in header.pop("arrays")]
+    del header["format_version"]
+    edit(arrays[name])
+    write_container(path, header, [(n, arrays[n]) for n in order])
+
+
+def _set(index, value):
+    return lambda a: a.__setitem__(index, value)
+
+
+BAD_DATASET_VALUES = {
+    "train_y_above_n_classes": ("train_y", _set(0, 7), "labels outside [0, 3)"),
+    "test_y_negative": ("test_y", _set(4, -3), "labels outside [0, 3)"),
+    "train_x_nan": ("train_x", _set((3, 2), np.nan), "non-finite"),
+    "test_x_inf": ("test_x", _set((0, 0), -np.inf), "non-finite"),
+    "means_nan": ("means", _set((1, 5), np.nan), "non-finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+@pytest.mark.parametrize("case", sorted(BAD_DATASET_VALUES))
+def test_dataset_with_bad_values_exit_2(workspace, capsys, case, command):
+    tmp_path, config, data = workspace
+    name, edit, message = BAD_DATASET_VALUES[case]
+    _rewrite_array(data, name, edit)
+    if command == "pretrain":
+        argv = ["pretrain", "--config", str(config), "--data", str(data),
+                "--out-dir", str(tmp_path / "o")]
+    else:
+        argv = ["probe", "--checkpoint", str(_fresh_checkpoint(tmp_path, config)),
+                "--data", str(data), "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"dataset array {name!r} holds {message}" in err
+    assert "Traceback" not in err
+
+
+BAD_CHECKPOINT_VALUES = {
+    "trunk_w_nan": ("q.trunk.0.w", _set((2, 3), np.nan)),
+    "velocity_inf": ("v.proj.1.b", _set(0, np.inf)),
+    "queue_features_nan": ("queue.features", _set((5, 1), np.nan)),
+}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_VALUES))
+def test_checkpoint_with_non_finite_values_exit_2(workspace, capsys, case, command):
+    tmp_path, config, data = workspace
+    name, edit = BAD_CHECKPOINT_VALUES[case]
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    _rewrite_array(ckpt, name, edit)
+    if command == "pretrain":
+        argv = ["pretrain", "--config", str(config), "--data", str(data),
+                "--out-dir", str(tmp_path / "o"), "--resume", str(ckpt)]
+    else:
+        argv = ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint array {name!r} holds non-finite values" in err
     assert "Traceback" not in err
 
 
@@ -475,6 +556,107 @@ def test_repeated_resume_writes_each_step_once(workspace):
     for _ in range(2):
         assert main(base + ["--resume", str(step5), "--max-steps", "10"]) == 0
     assert [m.step for m in read_metrics(out / "metrics.csv")] == list(range(10))
+
+
+# ---------------------------------------------------------------------------
+# container fuzzing: a mutated file is rejected with exit 2 or runs
+
+
+FUZZ_CONFIG = {
+    "dataset": {**SMALL_CONFIG["dataset"], "n_train": 48, "n_test": 24},
+    "model": SMALL_CONFIG["model"],
+    "train": {**SMALL_CONFIG["train"], "epochs": 1},
+    "probe": {"epochs": 2, "batch_size": 24, "knn_k": 3},
+}
+
+# JSON values of every type, plus NaN and out-of-range numbers
+SWAP_VALUES = [None, True, "x", -1, 3, 2**40, 0.5, math.nan, math.inf, [], {}, [1]]
+# float64 payload values: NaN and infinities, labels out of range, fractions
+POKE_VALUES = [math.nan, math.inf, -math.inf, -1.0, 3.0, 7.0, 2.5, 1e300, -(2.0**60)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    config = base / "run.json"
+    config.write_text(json.dumps(FUZZ_CONFIG))
+    data = base / "data.umc"
+    assert main(["gen-data", "--spec", str(config), "--out", str(data)]) == 0
+    ckpt = _fresh_checkpoint(base, config)
+    return base, config, {"dataset": data, "checkpoint": ckpt}
+
+
+def _json_paths(node, path=()):
+    """The key/index path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate(blob, mutation):
+    op, where, value = mutation
+    if op == "flip":
+        blob = bytearray(blob)
+        blob[where % len(blob)] ^= value
+        return bytes(blob)
+    if op == "truncate":
+        return blob[: where % len(blob)]
+    header, payload = _split(blob)
+    if op == "swap":
+        paths = list(_json_paths(header))
+        *parents, key = paths[where % len(paths)]
+        node = header
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        return _join(header, payload)
+    # poke: overwrite one float64 of the payload
+    offset = 8 * (where % (len(payload) // 8))
+    raw = struct.pack("<d", value)
+    return _join(header, payload[:offset] + raw + payload[offset + 8 :])
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**31), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**31), st.none()),
+    st.tuples(st.just("swap"), st.integers(0, 2**31), st.sampled_from(SWAP_VALUES)),
+    st.tuples(st.just("poke"), st.integers(0, 2**31), st.sampled_from(POKE_VALUES)),
+)
+
+
+@settings(max_examples=200)
+@given(target=st.sampled_from(["dataset", "checkpoint"]), mutation=MUTATIONS)
+def test_mutated_container_is_rejected_or_runs(fuzz_files, target, mutation):
+    # Exit 0 or 2 and never a traceback. A mutation can also leave a
+    # well-formed file with finite but huge values (a flipped exponent bit,
+    # a poked 1e300); training from them overflows, which pretrain reports
+    # as divergence, exit 3.
+    base, config, valid = fuzz_files
+    with tempfile.TemporaryDirectory(dir=base) as scratch:
+        bad = f"{scratch}/bad.umc"
+        with open(bad, "wb") as fh:
+            fh.write(_mutate(valid[target].read_bytes(), mutation))
+        files = {**{k: str(v) for k, v in valid.items()}, target: bad}
+        runs = [
+            ["probe", "--checkpoint", files["checkpoint"], "--data", files["dataset"],
+             "--out", f"{scratch}/p.json"],
+            ["pretrain", "--config", str(config), "--data", files["dataset"],
+             "--out-dir", f"{scratch}/run", "--max-steps", "1"]
+            + (["--resume", bad] if target == "checkpoint" else []),
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            allowed = (0, 2, 3) if argv[0] == "pretrain" else (0, 2)
+            assert code in allowed, (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def test_usage_errors_exit_2(capsys):

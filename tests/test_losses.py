@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conlab.losses import LOSS_KINDS, loss_batch, triplet_pair
+from conlab.numerics import log_sum_exp
 
 MULTI_POS_KINDS = ("unicon", "unicon_out", "supcon_out", "supcon_in")
 
@@ -336,6 +337,99 @@ def test_unicon_extreme_worst_case_value():
     values, grads = loss_batch("unicon", s, mask)
     assert values[0] == pytest.approx(1200.0, rel=1e-12)
     assert np.all(np.isfinite(grads))
+
+
+# ---------------------------------------------------------------------------
+# per-row reference from the defining formulas
+
+
+def _lse(v):
+    return log_sum_exp(np.asarray(v, dtype=np.float64))
+
+
+def _softmax(v):
+    v = np.asarray(v, dtype=np.float64)
+    return np.exp(v - _lse(v))
+
+
+def _sigmoid(x):
+    # exp(x) / (1 + exp(x)), with the denominator as lse([0, x])
+    return float(np.exp(x - _lse([0.0, x])))
+
+
+def reference_row(kind, s, mask):
+    """(value, gradient) of one row, one scalar log-sum-exp per term."""
+    pos, neg = s[mask], s[~mask]
+    n_pos = pos.size
+    grad = np.zeros_like(s)
+    if kind in ("infonce", "supcon_out"):
+        # mean over positives of -log(exp(s_p) / sum_k exp(s_k))
+        value = np.mean([_lse(s - sp) for sp in pos])
+        grad = _softmax(s) - mask / n_pos
+    elif kind == "supcon_in":
+        # -log(sum_pos exp(s_p) / (|P| sum_k exp(s_k)))
+        value = _lse(s) - _lse(pos) + np.log(n_pos)
+        grad = _softmax(s)
+        grad[mask] -= _softmax(pos)
+    elif neg.size == 0:
+        value = 0.0  # no (positive, negative) pair
+    elif kind == "unicon":
+        # log(1 + sum_neg exp(s_n) * sum_pos exp(-s_p))
+        t = _lse(neg) + _lse(-pos)
+        value = _lse([0.0, t])
+        grad[~mask] = _sigmoid(t) * _softmax(neg)
+        grad[mask] = -_sigmoid(t) * _softmax(-pos)
+    else:  # unicon_out: mean over positives of log(1 + sum_neg exp(s_n - s_p))
+        x = [_lse(neg) - sp for sp in pos]
+        value = np.mean([_lse([0.0, xp]) for xp in x])
+        sig = np.array([_sigmoid(xp) for xp in x])
+        grad[mask] = -sig / n_pos
+        grad[~mask] = sig.sum() / n_pos * _softmax(neg)
+    return value, grad
+
+
+def reference_batch(rng, kind, width, scale, n_rows=12):
+    """Rows with every positive count from 1 to the full width."""
+    logits = scale * rng.normal(size=(n_rows, width))
+    counts = rng.integers(1, width + 1, size=n_rows)
+    counts[:2] = (1, width)  # a single positive, and a row with no negative
+    if kind == "infonce":
+        counts[:] = 1
+    targets = np.zeros((n_rows, width), dtype=bool)
+    for row, count in zip(targets, counts):
+        row[rng.permutation(width)[:count]] = True
+    return logits, targets
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("width", [2, 33, 513, 600])
+@pytest.mark.parametrize("scale", [1.0, 30.0, 600.0])
+def test_batch_matches_reference_rows(kind, width, scale):
+    rng = np.random.default_rng([width, int(scale), LOSS_KINDS.index(kind)])
+    logits, targets = reference_batch(rng, kind, width, scale)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values, grads = loss_batch(kind, logits, targets)
+    for i in range(logits.shape[0]):
+        value, grad = reference_row(kind, logits[i], targets[i])
+        # pytest keeps its 1e-12 absolute floor under rel: a reference value
+        # near 0 is a difference of lse terms that carries about that much
+        assert values[i] == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(grads[i] - grad)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", MULTI_POS_KINDS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_discarded_lanes_at_700(kind, sign):
+    # a positive at +-700 and the negatives near -+700: the lanes one side's
+    # sum discards hold the row's extreme, and must neither overflow nor
+    # move the result
+    s = sign * np.array([[700.0, -699.0, -700.0, -698.5, -699.5]])
+    mask = np.array([[True, False, False, False, True]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values, grads = loss_batch(kind, s, mask)
+    value, grad = reference_row(kind, s[0], mask[0])
+    assert values[0] == pytest.approx(value, rel=1e-12)
+    assert np.max(np.abs(grads[0] - grad)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

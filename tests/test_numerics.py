@@ -14,7 +14,6 @@ from conlab.numerics import (
     Rng,
     l2_normalize_rows,
     log_sum_exp,
-    masked_lse_rows,
     sigmoid,
     softplus,
 )
@@ -161,37 +160,6 @@ def test_normalize_rows_degenerate_and_shape_errors():
         l2_normalize_rows(np.array([[1.0, 0.0], [DEGENERATE_NORM / 2, 0.0]]))
     with pytest.raises(ValueError, match="2-d"):
         l2_normalize_rows(np.array([1.0, 2.0]))
-
-
-# ---------------------------------------------------------------------------
-# masked_lse_rows
-
-
-def test_masked_lse_matches_scalar_lse():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(30, 9)) * 3.0
-    mask = rng.random(size=x.shape) < 0.4
-    mask[:, 0] = True  # keep every row non-empty
-    got = masked_lse_rows(x, mask)
-    for i in range(x.shape[0]):
-        assert got[i] == pytest.approx(log_sum_exp(x[i][mask[i]]), rel=1e-15)
-
-
-def test_masked_lse_empty_row_is_neg_inf():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    mask = np.array([[False, False], [True, False]])
-    got = masked_lse_rows(x, mask)
-    assert got[0] == -np.inf
-    assert got[1] == 3.0  # singleton rows are exact
-
-
-def test_masked_lse_ignores_huge_masked_out_entries():
-    # discarded lanes must not overflow even when they hold the row maximum
-    x = np.array([[700.0, 1.0, -700.0]])
-    mask = np.array([[False, True, True]])
-    with np.errstate(over="raise"):
-        got = masked_lse_rows(x, mask)
-    assert got[0] == pytest.approx(log_sum_exp([1.0, -700.0]), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

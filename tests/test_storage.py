@@ -45,6 +45,19 @@ def test_container_roundtrip_preserves_dtypes(tmp_path):
     assert np.array_equal(arrays["i"], i)
 
 
+@pytest.mark.parametrize("value", [2.5, np.nan, np.inf, 2.0**60])
+def test_integer_array_holding_a_non_integer_rejected(tmp_path, value):
+    # an i8 entry whose float64 payload is no integer below 2**53
+    path = tmp_path / "c.umc"
+    write_container(path, {"kind": "test"}, [("i", np.array([1.0, value]))])
+    data = path.read_bytes()
+    patched = data.replace(b'"dtype":"f8"', b'"dtype":"i8"')
+    assert patched != data
+    path.write_bytes(patched)
+    with pytest.raises(StorageError, match="integer array 'i' holds a non-integer"):
+        read_container(path)
+
+
 def test_container_starts_with_magic(tmp_path):
     path = tmp_path / "c.umc"
     write_container(path, {}, [("a", np.zeros(2))])
