@@ -281,7 +281,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:  # StorageError included
+    except (OSError, ValueError) as exc:  # StorageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -62,10 +62,6 @@ class ModelConfig:
     def proj_hidden_dim(self) -> int:
         return self.proj_hidden if self.proj_hidden is not None else self.trunk[-1]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.trunk[-1]
-
     def validate(self) -> list[str]:
         problems = []
         if len(self.trunk) < 1 or any(w < 1 for w in self.trunk):

@@ -57,6 +57,8 @@ def compare_grid(
     for kind in losses:
         if kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind: {kind}")
+    if not losses:
+        raise ValueError("need at least one loss")
     if not seeds:
         raise ValueError("need at least one seed")
     alphas = tuple(sorted({float(a) for a in alphas} | {0.0}))

@@ -3,6 +3,8 @@
 The encoder is a ReLU trunk followed by a two-layer projection head (hidden
 ReLU, linear output) whose output is L2-normalized. Probes consume the trunk
 output; the projection head exists only for the contrastive objective.
+Trunk and head are one tuple of layers, so forward and backward are each a
+single loop with a ReLU between consecutive layers.
 
 Parameters are immutable values: updates (gradient steps, momentum mixing)
 build new trees. The same tree shape doubles as the container for gradients
@@ -22,42 +24,40 @@ Layer = tuple[np.ndarray, np.ndarray]  # (weights (in, out), bias (out,))
 
 @dataclass(frozen=True)
 class EncoderParams:
-    trunk: tuple[Layer, ...]
-    proj: tuple[Layer, Layer]
+    """The trunk layers, then the two projection layers."""
+
+    layers: tuple[Layer, ...]
+
+    @property
+    def trunk(self) -> tuple[Layer, ...]:
+        return self.layers[:-2]
+
+    @property
+    def proj(self) -> tuple[Layer, Layer]:
+        return self.layers[-2:]
 
     @property
     def input_dim(self) -> int:
-        return self.trunk[0][0].shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.trunk[-1][0].shape[1]
+        return self.layers[0][0].shape[0]
 
     @property
     def embed_dim(self) -> int:
-        return self.proj[-1][0].shape[1]
+        return self.layers[-1][0].shape[1]
 
 
 def leaves(params: EncoderParams) -> list[np.ndarray]:
-    """All arrays in declared layer order (trunk first, then projection)."""
-    out = []
-    for w, b in list(params.trunk) + list(params.proj):
-        out.append(w)
-        out.append(b)
-    return out
+    """All arrays in layer order, each layer's weights before its bias."""
+    return [a for layer in params.layers for a in layer]
 
 
 def map_leaves(fn, *trees: EncoderParams) -> EncoderParams:
     """Apply fn leafwise across parameter trees of identical shape."""
-    def combine(layers):
-        return tuple(
-            (fn(*[t[i][0] for t in layers]), fn(*[t[i][1] for t in layers]))
-            for i in range(len(layers[0]))
+    return EncoderParams(
+        tuple(
+            tuple(fn(*same) for same in zip(*layer))
+            for layer in zip(*(t.layers for t in trees))
         )
-
-    trunk = combine([t.trunk for t in trees])
-    proj = combine([t.proj for t in trees])
-    return EncoderParams(trunk=trunk, proj=proj)
+    )
 
 
 def zeros_like_params(params: EncoderParams) -> EncoderParams:
@@ -82,15 +82,8 @@ def init_params(
     rng: Rng,
 ) -> EncoderParams:
     """Fan-in-scaled uniform weights, zero biases, deterministic per stream."""
-    trunk_widths = tuple(int(w) for w in trunk_widths)
-    dims_ok = (
-        input_dim >= 1
-        and len(trunk_widths) >= 1
-        and all(w >= 1 for w in trunk_widths)
-        and proj_hidden >= 1
-        and embed_dim >= 1
-    )
-    if not dims_ok:
+    dims = (input_dim, *(int(w) for w in trunk_widths), proj_hidden, embed_dim)
+    if len(dims) < 4 or any(d < 1 for d in dims):
         raise ValueError("invalid dims")
 
     def layer(fan_in: int, fan_out: int) -> Layer:
@@ -101,111 +94,75 @@ def init_params(
         w = rng.uniform(-bound, bound, (fan_in, fan_out))
         return w, np.zeros(fan_out)
 
-    trunk = []
-    prev = input_dim
-    for width in trunk_widths:
-        trunk.append(layer(prev, width))
-        prev = width
-    proj = (layer(prev, proj_hidden), layer(proj_hidden, embed_dim))
-    return EncoderParams(trunk=tuple(trunk), proj=proj)
+    return EncoderParams(tuple(layer(a, b) for a, b in zip(dims, dims[1:])))
 
 
 @dataclass
 class ForwardTape:
-    """Pre-activations and intermediate values retained for backward."""
+    """What backward needs: the parameters, each layer's input and
+    pre-activation (the last one is the raw embedding), its row norms and
+    the unit-norm embeddings."""
 
     params: EncoderParams
-    x: np.ndarray
-    trunk_pre: list[np.ndarray]
-    trunk_act: list[np.ndarray]
-    proj_pre: np.ndarray
-    proj_act: np.ndarray
-    raw: np.ndarray  # pre-normalization embeddings
+    inputs: list[np.ndarray]
+    pre: list[np.ndarray]
     norms: np.ndarray
-    out: np.ndarray  # unit-norm embeddings
+    out: np.ndarray
+
+
+def _as_inputs(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(
+            f"shape mismatch: expected (n, {params.input_dim}) inputs, "
+            f"got {x.shape}"
+        )
+    return x
 
 
 def trunk_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """Trunk output (post-ReLU, not normalized); the representation probes use."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError("shape mismatch")
-    a = x
+    a = _as_inputs(params, x)
     for w, b in params.trunk:
         a = np.maximum(a @ w + b, 0.0)
     return a
 
 
 def forward(params: EncoderParams, x: np.ndarray):
-    """Full pass: trunk -> projection -> L2 normalization.
+    """Full pass: every layer, a ReLU between layers, L2 normalization.
 
     Returns (embeddings, tape); embeddings rows are unit norm.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError("shape mismatch")
-    trunk_pre, trunk_act = [], []
-    a = x
-    for w, b in params.trunk:
-        z = a @ w + b
-        a = np.maximum(z, 0.0)
-        trunk_pre.append(z)
-        trunk_act.append(a)
-    (w1, b1), (w2, b2) = params.proj
-    proj_pre = a @ w1 + b1
-    proj_act = np.maximum(proj_pre, 0.0)
-    raw = proj_act @ w2 + b2
-    out = l2_normalize_rows(raw)
-    norms = np.linalg.norm(raw, axis=1)
-    tape = ForwardTape(
-        params=params,
-        x=x,
-        trunk_pre=trunk_pre,
-        trunk_act=trunk_act,
-        proj_pre=proj_pre,
-        proj_act=proj_act,
-        raw=raw,
-        norms=norms,
-        out=out,
-    )
-    return out, tape
+    a = _as_inputs(params, x)
+    inputs, pre = [], []
+    for w, b in params.layers:
+        if pre:
+            a = np.maximum(pre[-1], 0.0)
+        inputs.append(a)
+        pre.append(a @ w + b)
+    out = l2_normalize_rows(pre[-1])
+    norms = np.linalg.norm(pre[-1], axis=1)
+    return out, ForwardTape(params, inputs, pre, norms, out)
 
 
-def backward(
-    params: EncoderParams, tape: ForwardTape, grad_embeddings: np.ndarray
-) -> EncoderParams:
-    """Gradients of sum_i <grad_embeddings[i], embedding[i]> for every parameter.
+def backward(tape: ForwardTape, grad_embeddings: np.ndarray) -> EncoderParams:
+    """Gradients of sum_i <grad_embeddings[i], embedding[i]> for every
+    parameter of the forward pass that recorded ``tape``.
 
-    Includes the normalization Jacobian (I - uu^T)/||v||. The tape must come
-    from a forward pass of the same parameter tree.
+    Includes the normalization Jacobian (I - uu^T)/||v||.
     """
-    if tape.params is not params:
-        raise ValueError("stale tape")
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != tape.out.shape:
         raise ValueError("shape mismatch")
 
     u = tape.out
-    g_raw = (g - np.sum(g * u, axis=1, keepdims=True) * u) / tape.norms[:, None]
-
-    (w1, _), (w2, _) = params.proj
-    d_w2 = tape.proj_act.T @ g_raw
-    d_b2 = g_raw.sum(axis=0)
-    d_act = g_raw @ w2.T
-    d_pre = d_act * (tape.proj_pre > 0.0)
-    d_w1 = tape.trunk_act[-1].T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
-    d_h = d_pre @ w1.T
-
-    trunk_grads: list[Layer] = []
-    for t in range(len(params.trunk) - 1, -1, -1):
-        w, _ = params.trunk[t]
-        a_in = tape.trunk_act[t - 1] if t > 0 else tape.x
-        d_z = d_h * (tape.trunk_pre[t] > 0.0)
-        trunk_grads.append((a_in.T @ d_z, d_z.sum(axis=0)))
-        d_h = d_z @ w.T
-    trunk_grads.reverse()
-    return EncoderParams(trunk=tuple(trunk_grads), proj=((d_w1, d_b1), (d_w2, d_b2)))
+    d_z = (g - np.sum(g * u, axis=1, keepdims=True) * u) / tape.norms[:, None]
+    grads: list[Layer] = []
+    for i in range(len(tape.pre) - 1, -1, -1):
+        grads.append((tape.inputs[i].T @ d_z, d_z.sum(axis=0)))
+        if i:
+            d_z = (d_z @ tape.params.layers[i][0].T) * (tape.pre[i - 1] > 0.0)
+    return EncoderParams(tuple(reversed(grads)))
 
 
 def momentum_update(

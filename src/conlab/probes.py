@@ -20,14 +20,20 @@ from .pipeline import Dataset
 
 
 def extract_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Trunk outputs for every row of x; deterministic, no augmentation."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
+    """Trunk outputs for every row of x; deterministic, no augmentation.
+
+    Both probes sum squared features (row norms, column variances); none of
+    those sums exceeds the sum of all squares, so a total that is not finite
+    (finite but huge weights) makes the features an error, not a score.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = trunk_features(params, x)
+        total = np.einsum("ij,ij->", features, features)
+    if not np.isfinite(total):
         raise ValueError(
-            f"shape mismatch: expected (n, {params.input_dim}) inputs, "
-            f"got {x.shape}"
+            "trunk features overflow: their sum of squares is not finite"
         )
-    return trunk_features(params, x)
+    return features
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -122,7 +128,9 @@ def knn_probe(
     if temperature is None:
         weights = np.ones(neighbors.shape)
     else:
-        weights = np.exp(np.take_along_axis(sims, neighbors, axis=1) / temperature)
+        # shifted by each row's top similarity: the same vote, no overflow
+        top = np.take_along_axis(sims, neighbors, axis=1)
+        weights = np.exp((top - top[:, :1]) / temperature)
 
     n_test = test_labels.size
     n_classes = int(train_labels.max()) + 1

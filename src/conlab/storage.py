@@ -46,11 +46,16 @@ class StorageError(ValueError):
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -210,27 +215,24 @@ def load_dataset(path) -> Dataset:
 # checkpoints
 
 
+def _layer_stems(prefix: str, n_trunk: int) -> list[str]:
+    """Array name stem of each layer: <prefix>.trunk.<i>, then <prefix>.proj.<j>."""
+    trunk = [f"{prefix}.trunk.{i}" for i in range(n_trunk)]
+    return trunk + [f"{prefix}.proj.0", f"{prefix}.proj.1"]
+
+
 def _param_arrays(prefix: str, params: EncoderParams):
-    out = []
-    for i, (w, b) in enumerate(params.trunk):
-        out.append((f"{prefix}.trunk.{i}.w", w))
-        out.append((f"{prefix}.trunk.{i}.b", b))
-    for i, (w, b) in enumerate(params.proj):
-        out.append((f"{prefix}.proj.{i}.w", w))
-        out.append((f"{prefix}.proj.{i}.b", b))
-    return out
+    stems = _layer_stems(prefix, len(params.trunk))
+    return [
+        (f"{stem}.{part}", a)
+        for stem, layer in zip(stems, params.layers)
+        for part, a in zip("wb", layer)
+    ]
 
 
 def _params_from_arrays(prefix: str, arrays, n_trunk: int) -> EncoderParams:
-    trunk = tuple(
-        (arrays[f"{prefix}.trunk.{i}.w"], arrays[f"{prefix}.trunk.{i}.b"])
-        for i in range(n_trunk)
-    )
-    proj = tuple(
-        (arrays[f"{prefix}.proj.{i}.w"], arrays[f"{prefix}.proj.{i}.b"])
-        for i in range(2)
-    )
-    return EncoderParams(trunk=trunk, proj=proj)
+    stems = _layer_stems(prefix, n_trunk)
+    return EncoderParams(tuple((arrays[f"{s}.w"], arrays[f"{s}.b"]) for s in stems))
 
 
 def _state_arrays(state: TrainState):
@@ -259,7 +261,7 @@ def _checkpoint_layout(cfg: RunConfig):
     m = cfg.model
     dims = [cfg.dataset.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim]
     layers = tuple((zeros(a, b), zeros(b)) for a, b in zip(dims, dims[1:]))
-    params = EncoderParams(trunk=layers[:-2], proj=layers[-2:])
+    params = EncoderParams(layers)
     queue = PairQueue(
         features=zeros(cfg.train.queue_size, m.embed_dim),
         labels=zeros(cfg.train.queue_size, dtype=np.int64),

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,67 @@ def test_checkpoint_with_non_finite_values_exit_2(workspace, capsys, case, comma
     err = capsys.readouterr().err
     assert f"checkpoint array {name!r} holds non-finite values" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [1e300, 1e160])
+def test_probe_on_overflowing_weights_exit_2(workspace, capsys, value):
+    # finite weights whose trunk features (1e300) or their squared row norms
+    # (1e160) overflow: the probes must not score inf/nan features
+    tmp_path, config, data = workspace
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    _rewrite_array(ckpt, "q.trunk.0.w", _set((0, 0), value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(
+            ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+             "--out", str(tmp_path / "p.json")]
+        )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: trunk features overflow")
+    assert not (tmp_path / "p.json").exists()
+
+
+def _fs_error_argv(case, tmp_path, config, data):
+    """A command that must exit 2: a path names a file where a directory is
+    expected or the reverse, or the loss list is empty."""
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    run = ["--config", str(config), "--data", str(data)]
+    compare = ["compare", *run, "--losses", "unicon", "--alphas", "0", "--seeds", "0"]
+    return {
+        "pretrain_out_dir_is_file": ["pretrain", *run, "--out-dir", str(data)],
+        "compare_out_dir_is_file": [*compare, "--out-dir", str(data)],
+        "data_is_dir": ["pretrain", "--config", str(config), "--data", str(a_dir),
+                        "--out-dir", str(tmp_path / "o")],
+        "config_is_dir": ["pretrain", "--config", str(a_dir), "--data", str(data),
+                          "--out-dir", str(tmp_path / "o")],
+        "probe_out_is_dir": ["probe", "--checkpoint",
+                             str(_fresh_checkpoint(tmp_path, config)),
+                             "--data", str(data), "--out", str(a_dir)],
+        "gen_data_out_is_dir": ["gen-data", "--spec", str(config), "--out", str(a_dir)],
+        "compare_without_losses": ["compare", *run, "--losses", "",
+                                   "--out-dir", str(tmp_path / "c")],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("pretrain_out_dir_is_file", "File exists"),
+        ("compare_out_dir_is_file", "File exists"),
+        ("data_is_dir", "Is a directory"),
+        ("config_is_dir", "Is a directory"),
+        ("probe_out_is_dir", "Is a directory"),
+        ("gen_data_out_is_dir", "Is a directory"),
+        ("compare_without_losses", "need at least one loss"),
+    ],
+)
+def test_path_errors_exit_2(workspace, capsys, case, message):
+    tmp_path, config, data = workspace
+    assert main(_fs_error_argv(case, tmp_path, config, data)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.rglob("*.tmp.*")) == []  # no temp file left behind
 
 
 def _to_parent_layout(data, ckpt):

@@ -170,6 +170,18 @@ def test_knn_temperature_weights_votes():
     assert knn_probe(f_tr, y_tr, f_te, y_te, k=3, temperature=0.02) == 1.0
 
 
+def test_knn_sharp_temperature_does_not_overflow():
+    # exp(sim / 1e-3) overflows for any similarity above 0.71; votes
+    # relative to the top neighbor give the same winner without overflow
+    f_tr = np.array([[1.0, 0.0], [0.99, 0.141], [0.98, 0.199]])
+    y_tr = np.array([1, 0, 0])
+    f_te = np.array([[1.0, 0.0], [0.99, 0.141]])
+    y_te = np.array([1, 0])
+    with np.errstate(over="raise"):
+        assert knn_probe(f_tr, y_tr, f_te, y_te, k=3, temperature=1e-3) == 1.0
+    assert knn_probe(f_tr, y_tr, f_te, y_te, k=3) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # end-to-end probes
 

@@ -2,13 +2,14 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conlab.config import RunConfig, config_digest, with_train
 from conlab.model import params_equal
-from conlab.pipeline import StepMetrics, pretrain
+from conlab.pipeline import StepMetrics, init_state, pretrain
 from conlab.storage import (
     FORMAT_VERSION,
     MAGIC,
@@ -188,6 +189,33 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path, small_cfg, small_dat
     loaded_state, loaded_cfg = load_checkpoint(a)
     save_checkpoint(b, loaded_state, loaded_cfg)
     assert a.read_bytes() == b.read_bytes()
+
+
+LAYER_STEMS = {
+    1: ["trunk.0", "proj.0", "proj.1"],
+    3: ["trunk.0", "trunk.1", "trunk.2", "proj.0", "proj.1"],
+}
+
+
+@pytest.mark.parametrize("depth", sorted(LAYER_STEMS))
+def test_checkpoint_array_names_and_order(tmp_path, small_cfg, depth):
+    # the stored names are the file format: a rename must fail here, since
+    # save -> load -> save stays byte-identical under any consistent naming
+    trunk = (6, 5, 4)[:depth]
+    cfg = replace(small_cfg, model=replace(small_cfg.model, trunk=trunk))
+    path = tmp_path / "ck.umc"
+    save_checkpoint(path, init_state(cfg.model, cfg.train, 8), cfg)
+    header, _ = read_container(path)
+    params = [
+        f"{tree}.{stem}.{leaf}"
+        for tree in ("q", "k", "v")
+        for stem in LAYER_STEMS[depth]
+        for leaf in ("w", "b")
+    ]
+    assert [e["name"] for e in header["arrays"]] == params + [
+        "queue.features",
+        "queue.labels",
+    ]
 
 
 def test_checkpoint_header_records_rng_position(tmp_path, small_cfg, small_dataset):
