@@ -41,7 +41,6 @@ from .storage import (
     load_dataset,
     save_checkpoint,
     save_dataset,
-    truncate_metrics,
     write_manifest,
 )
 
@@ -82,6 +81,13 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
@@ -99,19 +105,16 @@ def _cmd_pretrain(args) -> int:
             raise ConfigError(
                 ["resume: checkpoint was produced by a different config"]
             )
-        truncate_metrics(metrics_path, state.step)
 
-    writer = MetricsWriter(metrics_path, append=args.resume is not None)
-    try:
-        state, _ = pretrain(
+    start_step = 0 if state is None else state.step
+    with MetricsWriter(metrics_path, start_step=start_step) as writer:
+        state = pretrain(
             dataset,
             cfg,
             state=state,
             max_steps=args.max_steps,
             step_callback=writer.write,
         )
-    finally:
-        writer.close()
 
     save_checkpoint(ckpt_path, state, cfg)
     write_manifest(
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument(
         "--max-steps",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="stop after this global step (for interrupt/resume workflows)",
     )

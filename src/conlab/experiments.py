@@ -74,7 +74,7 @@ def compare_grid(
                 run_cfg = with_train(
                     cfg, loss=kind, label_ratio=alpha, seed=seed
                 )
-                state, _ = pretrain(dataset, run_cfg)
+                state = pretrain(dataset, run_cfg)
                 res = run_probes(state.params_q, dataset, cfg.probe, seed=seed)
                 lin.append(res.linear_top1)
                 knn.append(res.knn_top1)

@@ -202,15 +202,12 @@ def train_step(
     lr: float,
     rng: Rng,
     epoch: int = 0,
-    logits_sink=None,
 ) -> tuple[TrainState, StepMetrics]:
     """One optimization step on a batch of (input, training-label) pairs.
 
     Order matters: logits and targets are computed against the queue as it
     was *before* this batch's keys are pushed, and the key encoder moves
     after the query update so it trails the freshly stepped query weights.
-    ``logits_sink``, if given, receives (step, logits, targets) before the
-    loss — a probe point for loss-equivalence checks.
     """
     n = x.shape[0]
     x_q = augment(x, train_cfg.aug, rng.stream("q"))
@@ -231,9 +228,6 @@ def train_step(
         targets[:, 0] = True
     else:
         targets = build_target(labels, state.queue)
-
-    if logits_sink is not None:
-        logits_sink(state.step, logits, targets)
 
     values, grad_logits = loss_batch(train_cfg.loss, logits, targets)
     loss = float(np.mean(values))
@@ -287,16 +281,15 @@ def pretrain(
     state: TrainState | None = None,
     max_steps: int | None = None,
     step_callback=None,
-    logits_sink=None,
-) -> tuple[TrainState, list[StepMetrics]]:
+) -> TrainState:
     """Run (or resume) momentum-encoder pretraining.
 
     The label view used for targets is derived here from the ground truth,
     the dataset seed and ``cfg.train.label_ratio``. ``state`` continues a
     previous run from ``state.step``; randomness is re-derived from the
     config seed and the step counter, so stopping and resuming produces the
-    same trajectory as an uninterrupted run. Returns the final state and the
-    metrics rows produced during this call.
+    same trajectory as an uninterrupted run. Each step's metrics go to
+    ``step_callback``, if given; the final state is returned.
     """
     train_cfg = cfg.train
     labels = mask_labels(
@@ -309,7 +302,6 @@ def pretrain(
     total = train_cfg.epochs * spe
     stop = total if max_steps is None else min(total, max_steps)
 
-    history: list[StepMetrics] = []
     perm = None
     perm_epoch = -1
     while state.step < stop:
@@ -328,12 +320,10 @@ def pretrain(
             lr,
             root.stream("aug", state.step),
             epoch=epoch,
-            logits_sink=logits_sink,
         )
-        history.append(metrics)
         if step_callback is not None:
             step_callback(metrics)
-    return state, history
+    return state
 
 
 __all__ = [

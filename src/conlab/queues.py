@@ -15,6 +15,7 @@ import numpy as np
 from .numerics import Rng
 
 UNLABELED = -1
+UNIT_NORM_TOL = 1e-8  # how far a stored key's norm may stray from 1
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ def push_batch(queue: PairQueue, keys: np.ndarray, labels: np.ndarray) -> PairQu
     if n > queue.capacity:
         raise ValueError("batch larger than queue capacity")
     norms = np.linalg.norm(keys, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ValueError("norm violation: keys must be unit vectors")
     idx = (queue.cursor + np.arange(n)) % queue.capacity
     features = queue.features.copy()

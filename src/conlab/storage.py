@@ -33,7 +33,7 @@ from .config import (
 )
 from .model import EncoderParams
 from .pipeline import Dataset, StepMetrics, TrainState
-from .queues import PairQueue
+from .queues import UNIT_NORM_TOL, UNLABELED, PairQueue
 
 MAGIC = b"UMC1"
 FORMAT_VERSION = 1
@@ -285,8 +285,10 @@ def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
-    """The arrays must have the layout the stored config implies; header
-    keys other than config, step and queue cursor are ignored."""
+    """The arrays must have the layout the stored config implies, and the
+    queue must keep its own rules: unit-norm rows (to ``push_batch``'s
+    tolerance) and labels in [UNLABELED, n_classes). Header keys other than
+    config, step and queue cursor are ignored."""
     header, arrays = read_container(path)
     if header.get("kind") != "checkpoint":
         raise StorageError(f"not a checkpoint file (kind={header.get('kind')!r})")
@@ -305,16 +307,22 @@ def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
             f"got {queue!r}"
         )
     _check_arrays("checkpoint", arrays, _checkpoint_layout(cfg))
+    features, labels = arrays["queue.features"], arrays["queue.labels"]
+    with np.errstate(over="ignore"):  # a huge row's norm is inf: rejected
+        norms = np.linalg.norm(features, axis=1)
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        raise StorageError("checkpoint queue holds a feature row that is not unit-norm")
+    n_classes = cfg.dataset.n_classes
+    if labels.min() < UNLABELED or labels.max() >= n_classes:
+        raise StorageError(
+            f"checkpoint queue holds labels outside [{UNLABELED}, {n_classes})"
+        )
     n_trunk = len(cfg.model.trunk)
     state = TrainState(
         params_q=_params_from_arrays("q", arrays, n_trunk),
         params_k=_params_from_arrays("k", arrays, n_trunk),
         velocity=_params_from_arrays("v", arrays, n_trunk),
-        queue=PairQueue(
-            features=arrays["queue.features"],
-            labels=arrays["queue.labels"],
-            cursor=cursor,
-        ),
+        queue=PairQueue(features=features, labels=labels, cursor=cursor),
         step=step,
     )
     return state, cfg
@@ -336,15 +344,23 @@ def format_metrics_row(m: StepMetrics) -> str:
 
 
 class MetricsWriter:
-    """Append-only CSV sink, flushed per row so a dying run keeps its tail."""
+    """CSV sink for a run's step rows, flushed per row so a dying run keeps
+    its tail.
 
-    def __init__(self, path, append: bool = False):
+    Opening rewrites the file as the header plus its rows before
+    ``start_step``, so that a run resumed from a checkpoint at that step
+    appends each later step exactly once. A fresh run (``start_step`` 0)
+    keeps no row and does not read the file.
+    """
+
+    def __init__(self, path, start_step: int = 0):
         self.path = os.fspath(path)
-        exists = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        self._fh = open(self.path, "a" if append else "w", encoding="utf-8")
-        if not (append and exists):
-            self._fh.write(METRICS_HEADER + "\n")
-            self._fh.flush()
+        kept = []
+        if start_step > 0 and os.path.exists(self.path):
+            kept = [m for m in read_metrics(self.path) if m.step < start_step]
+        lines = [METRICS_HEADER] + [format_metrics_row(m) for m in kept]
+        atomic_write_text(self.path, "".join(f"{line}\n" for line in lines))
+        self._fh = open(self.path, "a", encoding="utf-8")
 
     def write(self, m: StepMetrics) -> None:
         self._fh.write(format_metrics_row(m) + "\n")
@@ -359,15 +375,6 @@ class MetricsWriter:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-def truncate_metrics(path, step: int) -> None:
-    """Keep only the rows before `step`, so that a run resumed from a
-    checkpoint at `step` appends each later step exactly once."""
-    if not os.path.exists(path):
-        return
-    rows = [format_metrics_row(m) for m in read_metrics(path) if m.step < step]
-    atomic_write_text(path, "".join(f"{line}\n" for line in [METRICS_HEADER] + rows))
 
 
 def read_metrics(path) -> list[StepMetrics]:
@@ -421,7 +428,6 @@ __all__ = [
     "read_metrics",
     "save_checkpoint",
     "save_dataset",
-    "truncate_metrics",
     "write_container",
     "write_manifest",
 ]

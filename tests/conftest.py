@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+import conlab.pipeline
 from conlab import (
     AugConfig,
     DatasetSpec,
@@ -73,3 +74,22 @@ def small_cfg() -> RunConfig:
 @pytest.fixture(scope="session")
 def small_dataset(small_cfg):
     return generate_dataset(small_cfg.dataset)
+
+
+@pytest.fixture()
+def on_loss(monkeypatch):
+    """``install(fn)`` calls ``fn(logits, targets)`` before every loss that
+    ``train_step`` computes, by wrapping ``conlab.pipeline.loss_batch``, the
+    name it looks up. ``fn`` should check each step as it arrives: a full
+    run sees thousands of logit matrices."""
+
+    def install(fn):
+        real = conlab.pipeline.loss_batch
+
+        def wrapped(kind, logits, targets):
+            fn(logits, targets)
+            return real(kind, logits, targets)
+
+        monkeypatch.setattr(conlab.pipeline, "loss_batch", wrapped)
+
+    return install

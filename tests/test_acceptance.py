@@ -267,23 +267,27 @@ def test_criterion_07_queue_oracle_and_statistics():
 # 8. alpha=0 training is step-for-step the single-positive objective
 
 
-def test_criterion_08_alpha_zero_equals_single_positive(default_dataset, default_cfg):
+def test_criterion_08_alpha_zero_equals_single_positive(
+    default_dataset, default_cfg, on_loss
+):
     cfg = with_train(default_cfg, loss="unicon", label_ratio=0.0)
     worst = 0.0
     seen = 0
 
-    def sink(step, logits, targets):
+    def check(logits, targets):
         nonlocal worst, seen
         uni, _ = loss_batch("unicon", logits, targets)
         ref, _ = loss_batch("infonce", logits, targets)
         worst = max(worst, float(np.max(np.abs(uni - ref))))
         seen += 1
 
-    state, history = pretrain(default_dataset, cfg, logits_sink=sink)
+    on_loss(check)
+    rows = []
+    pretrain(default_dataset, cfg, step_callback=rows.append)
     expected_steps = cfg.train.epochs * (
         default_dataset.train_x.shape[0] // cfg.train.batch_size
     )
-    ok = worst <= 1e-10 and seen == len(history) == expected_steps
+    ok = worst <= 1e-10 and seen == len(rows) == expected_steps
     _record(
         8,
         ok,

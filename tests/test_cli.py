@@ -487,6 +487,34 @@ def test_checkpoint_with_non_finite_values_exit_2(workspace, capsys, case, comma
     assert "Traceback" not in err
 
 
+BAD_QUEUE_VALUES = {
+    "feature_off_unit_norm": ("queue.features", _set((0, 0), 0.5), "not unit-norm"),
+    "feature_huge": ("queue.features", _set((0, 0), 1e300), "not unit-norm"),
+    "label_above_n_classes": ("queue.labels", _set(0, 7), "labels outside [-1, 3)"),
+    "label_below_unlabeled": ("queue.labels", _set(0, -5), "labels outside [-1, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QUEUE_VALUES))
+def test_checkpoint_breaking_queue_rules_exit_2(workspace, capsys, case):
+    # finite values that push_batch would never have stored; the huge one
+    # must be rejected without an overflow warning
+    tmp_path, config, data = workspace
+    name, edit, message = BAD_QUEUE_VALUES[case]
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    _rewrite_array(ckpt, name, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(
+            ["pretrain", "--config", str(config), "--data", str(data),
+             "--out-dir", str(tmp_path / "o"), "--resume", str(ckpt)]
+        )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", [1e300, 1e160])
 def test_probe_on_overflowing_weights_exit_2(workspace, capsys, value):
     # finite weights whose trunk features (1e300) or their squared row norms
@@ -618,6 +646,37 @@ def test_repeated_resume_writes_each_step_once(workspace):
     for _ in range(2):
         assert main(base + ["--resume", str(step5), "--max-steps", "10"]) == 0
     assert [m.step for m in read_metrics(out / "metrics.csv")] == list(range(10))
+
+
+@pytest.mark.parametrize("value", ["-1", "-100"])
+def test_negative_max_steps_exit_2(workspace, capsys, value):
+    tmp_path, config, data = workspace
+    out = tmp_path / "run"
+    code = main(
+        ["pretrain", "--config", str(config), "--data", str(data),
+         "--out-dir", str(out), "--max-steps", value]
+    )
+    assert code == 2
+    assert "--max-steps: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_from_step_zero_overwrites_unreadable_metrics(workspace, capsys):
+    # a step-0 resume keeps no metrics row, so the old file is never read;
+    # from a later step the rows before it must be read, and bad ones exit 2
+    tmp_path, config, data = workspace
+    out = tmp_path / "run"
+    out.mkdir()
+    metrics = out / "metrics.csv"
+    metrics.write_bytes(b"\xff not a metrics file\n")
+    base = ["pretrain", "--config", str(config), "--data", str(data),
+            "--out-dir", str(out), "--max-steps", "3"]
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    assert main(base + ["--resume", str(ckpt)]) == 0
+    assert [m.step for m in read_metrics(metrics)] == [0, 1, 2]
+    metrics.write_bytes(b"\xff not a metrics file\n")
+    assert main(base + ["--resume", str(out / "checkpoint.umc")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_train_step_key_encoder_trails_query(small_cfg, small_dataset):
         assert np.allclose(k_new, m * k_old + (1 - m) * q_new, atol=1e-12)
 
 
-def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset):
+def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset, on_loss):
     train_cfg = with_train(small_cfg, loss="infonce").train
     state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
     # seed the queue with labels that would match
@@ -245,29 +245,25 @@ def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset):
     state, _ = train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0))
     seen = {}
 
-    def sink(step, logits, targets):
-        seen["targets"] = targets
+    def check(logits, targets):
+        seen["positives"] = targets.sum(axis=1)
 
-    _, metrics = train_step(
-        state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 1), logits_sink=sink
-    )
+    on_loss(check)
+    _, metrics = train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 1))
     assert metrics.mean_positives == 1.0
-    assert np.array_equal(seen["targets"].sum(axis=1), np.ones(x.shape[0]))
+    assert np.array_equal(seen["positives"], np.ones(x.shape[0]))
 
 
-def test_logits_sink_sees_queue_width(small_cfg, small_dataset):
+def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
     train_cfg = small_cfg.train
     state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
     captured = []
-
-    def sink(step, logits, targets):
-        captured.append((step, logits.shape, targets.shape))
-
+    on_loss(lambda logits, targets: captured.append((logits.shape, targets.shape)))
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
-    train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0), logits_sink=sink)
+    train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0))
     assert captured == [
-        (0, (train_cfg.batch_size, 1 + train_cfg.queue_size),
+        ((train_cfg.batch_size, 1 + train_cfg.queue_size),
          (train_cfg.batch_size, 1 + train_cfg.queue_size))
     ]
 
@@ -276,9 +272,16 @@ def test_logits_sink_sees_queue_width(small_cfg, small_dataset):
 # full runs
 
 
+def run_with_rows(dataset, cfg, **kwargs):
+    """pretrain, plus the metrics rows its step callback received."""
+    rows = []
+    state = pretrain(dataset, cfg, step_callback=rows.append, **kwargs)
+    return state, rows
+
+
 def test_pretrain_deterministic(small_cfg, small_dataset):
-    state_a, hist_a = pretrain(small_dataset, small_cfg)
-    state_b, hist_b = pretrain(small_dataset, small_cfg)
+    state_a, hist_a = run_with_rows(small_dataset, small_cfg)
+    state_b, hist_b = run_with_rows(small_dataset, small_cfg)
     assert params_equal(state_a.params_q, state_b.params_q)
     assert params_equal(state_a.params_k, state_b.params_k)
     assert np.array_equal(state_a.queue.features, state_b.queue.features)
@@ -286,7 +289,7 @@ def test_pretrain_deterministic(small_cfg, small_dataset):
 
 
 def test_pretrain_step_count_and_epochs(small_cfg, small_dataset):
-    state, history = pretrain(small_dataset, small_cfg)
+    state, history = run_with_rows(small_dataset, small_cfg)
     spe = steps_per_epoch(small_dataset.spec.n_train, small_cfg.train.batch_size)
     assert state.step == spe * small_cfg.train.epochs
     assert len(history) == state.step
@@ -296,17 +299,17 @@ def test_pretrain_step_count_and_epochs(small_cfg, small_dataset):
 
 def test_pretrain_epochs_zero_returns_init(small_cfg, small_dataset):
     cfg = with_train(small_cfg, epochs=0)
-    state, history = pretrain(small_dataset, cfg)
+    state, history = run_with_rows(small_dataset, cfg)
     init = init_state(cfg.model, cfg.train, small_dataset.spec.input_dim)
     assert history == []
     assert params_equal(state.params_q, init.params_q)
 
 
 def test_pretrain_resume_matches_uninterrupted(small_cfg, small_dataset):
-    full_state, full_hist = pretrain(small_dataset, small_cfg)
-    mid_state, first_hist = pretrain(small_dataset, small_cfg, max_steps=7)
+    full_state, full_hist = run_with_rows(small_dataset, small_cfg)
+    mid_state, first_hist = run_with_rows(small_dataset, small_cfg, max_steps=7)
     assert mid_state.step == 7
-    end_state, rest_hist = pretrain(small_dataset, small_cfg, state=mid_state)
+    end_state, rest_hist = run_with_rows(small_dataset, small_cfg, state=mid_state)
     assert params_equal(end_state.params_q, full_state.params_q)
     assert params_equal(end_state.velocity, full_state.velocity)
     assert np.array_equal(end_state.queue.features, full_state.queue.features)
@@ -314,18 +317,19 @@ def test_pretrain_resume_matches_uninterrupted(small_cfg, small_dataset):
     assert first_hist + rest_hist == full_hist
 
 
-def test_pretrain_alpha_zero_unicon_equals_infonce(small_cfg, small_dataset):
+def test_pretrain_alpha_zero_unicon_equals_infonce(small_cfg, small_dataset, on_loss):
     cfg = with_train(small_cfg, label_ratio=0.0, epochs=2)
     from conlab.losses import loss_batch
 
     diffs = []
 
-    def sink(step, logits, targets):
+    def check(logits, targets):
         u, _ = loss_batch("unicon", logits, targets)
         i, _ = loss_batch("infonce", logits, targets)
         diffs.append(float(np.max(np.abs(u - i))))
 
-    pretrain(small_dataset, cfg, logits_sink=sink)
+    on_loss(check)
+    pretrain(small_dataset, cfg)
     assert diffs and max(diffs) <= 1e-10
 
 
@@ -350,7 +354,7 @@ def test_pretrain_loss_descends():
         train=TrainConfig(queue_size=64, epochs=10, seed=0),
         probe=ProbeConfig(),
     )
-    _, history = pretrain(generate_dataset(cfg.dataset), cfg)
+    _, history = run_with_rows(generate_dataset(cfg.dataset), cfg)
     losses = [m.loss for m in history]
     assert len(losses) == 200
     first, last = np.mean(losses[:20]), np.mean(losses[-20:])

@@ -167,7 +167,7 @@ def test_dataset_kind_enforced(tmp_path):
 
 
 def test_checkpoint_roundtrip(tmp_path, small_cfg, small_dataset):
-    state, _ = pretrain(small_dataset, small_cfg, max_steps=12)
+    state = pretrain(small_dataset, small_cfg, max_steps=12)
     path = tmp_path / "ck.umc"
     save_checkpoint(path, state, small_cfg)
     loaded_state, loaded_cfg = load_checkpoint(path)
@@ -183,7 +183,7 @@ def test_checkpoint_roundtrip(tmp_path, small_cfg, small_dataset):
 
 
 def test_checkpoint_save_load_save_byte_identical(tmp_path, small_cfg, small_dataset):
-    state, _ = pretrain(small_dataset, small_cfg, max_steps=5)
+    state = pretrain(small_dataset, small_cfg, max_steps=5)
     a, b = tmp_path / "a.umc", tmp_path / "b.umc"
     save_checkpoint(a, state, small_cfg)
     loaded_state, loaded_cfg = load_checkpoint(a)
@@ -219,7 +219,7 @@ def test_checkpoint_array_names_and_order(tmp_path, small_cfg, depth):
 
 
 def test_checkpoint_header_records_rng_position(tmp_path, small_cfg, small_dataset):
-    state, _ = pretrain(small_dataset, small_cfg, max_steps=7)
+    state = pretrain(small_dataset, small_cfg, max_steps=7)
     path = tmp_path / "ck.umc"
     save_checkpoint(path, state, small_cfg)
     header, _ = read_container(path)
@@ -269,16 +269,32 @@ def test_metrics_row_format_is_plain_repr():
     assert row == "3,1,0.06,1.0,2.0,0.06"
 
 
-def test_metrics_append_mode(tmp_path):
+def test_metrics_resume_keeps_rows_before_start_step(tmp_path):
     path = tmp_path / "m.csv"
     rows = rows_fixture()
     with MetricsWriter(path) as w:
-        w.write(rows[0])
-    with MetricsWriter(path, append=True) as w:
-        for m in rows[1:]:
+        for m in rows:
             w.write(m)
-    assert read_metrics(path) == rows
-    assert path.read_text().count(METRICS_HEADER) == 1
+    before = path.read_text().splitlines(keepends=True)
+    with MetricsWriter(path, start_step=2) as w:
+        assert path.read_text() == "".join(before[:3])  # header, steps 0 and 1
+        w.write(rows[2])
+    assert path.read_text() == "".join(before)  # one header, each row once
+
+
+def test_metrics_resume_over_missing_file_writes_header(tmp_path):
+    path = tmp_path / "m.csv"
+    with MetricsWriter(path, start_step=5):
+        pass
+    assert path.read_text() == METRICS_HEADER + "\n"
+
+
+def test_metrics_start_step_zero_ignores_unreadable_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xff\x00not a metrics file\n")
+    with MetricsWriter(path, start_step=0):
+        pass
+    assert path.read_text() == METRICS_HEADER + "\n"
 
 
 def test_metrics_fresh_mode_truncates(tmp_path):
@@ -286,7 +302,8 @@ def test_metrics_fresh_mode_truncates(tmp_path):
     with MetricsWriter(path) as w:
         for m in rows_fixture():
             w.write(m)
-    with MetricsWriter(path) as w:
+    with MetricsWriter(path, start_step=0) as w:
+        assert path.read_text() == METRICS_HEADER + "\n"
         w.write(rows_fixture()[0])
     assert len(read_metrics(path)) == 1
 
