@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, l2_normalize_rows
+from .numerics import DEGENERATE_NORM, DegenerateVectorError, Rng
 
 Layer = tuple[np.ndarray, np.ndarray]  # (weights (in, out), bias (out,))
 
@@ -131,7 +131,8 @@ def trunk_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
 def forward(params: EncoderParams, x: np.ndarray):
     """Full pass: every layer, a ReLU between layers, L2 normalization.
 
-    Returns (embeddings, tape); embeddings rows are unit norm.
+    Returns (embeddings, tape); embeddings rows are unit norm. Raises
+    ``DegenerateVectorError`` if a raw embedding's norm is <= 1e-12.
     """
     a = _as_inputs(params, x)
     inputs, pre = [], []
@@ -140,8 +141,10 @@ def forward(params: EncoderParams, x: np.ndarray):
             a = np.maximum(pre[-1], 0.0)
         inputs.append(a)
         pre.append(a @ w + b)
-    out = l2_normalize_rows(pre[-1])
     norms = np.linalg.norm(pre[-1], axis=1)
+    if np.any(norms <= DEGENERATE_NORM):
+        raise DegenerateVectorError("degenerate vector")
+    out = pre[-1] / norms[:, None]
     return out, ForwardTape(params, inputs, pre, norms, out)
 
 

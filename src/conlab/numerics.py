@@ -1,9 +1,9 @@
 """Small dense numerics shared by every module.
 
 Everything runs in 64-bit floats. The exported kernels are the numerically
-delicate pieces (log-sum-exp, softplus, row normalization) plus a seeded,
-splittable random number generator. All functions are pure; `Rng` instances
-are single-owner.
+delicate pieces (log-sum-exp, softplus, sigmoid) plus a seeded, splittable
+random number generator. All functions are pure; `Rng` instances are
+single-owner.
 """
 
 from __future__ import annotations
@@ -51,20 +51,6 @@ def sigmoid(x):
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
-
-
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Scale every row of a 2-d array to unit L2 norm.
-
-    Raises on rows with norm <= 1e-12; direction is preserved.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms <= DEGENERATE_NORM):
-        raise DegenerateVectorError("degenerate vector")
-    return m / norms[:, None]
 
 
 def _label_key(label: str) -> int:

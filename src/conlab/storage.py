@@ -31,8 +31,8 @@ from .config import (
     config_to_dict,
     run_id,
 )
-from .model import EncoderParams
-from .pipeline import Dataset, StepMetrics, TrainState
+from .model import EncoderParams, leaves
+from .pipeline import Dataset, StepMetrics, TrainState, steps_per_epoch
 from .queues import UNIT_NORM_TOL, UNLABELED, PairQueue
 
 MAGIC = b"UMC1"
@@ -186,11 +186,11 @@ def _dataset_layout(spec):
 
 
 def save_dataset(path, dataset: Dataset) -> None:
+    layout = _dataset_layout(dataset.spec)
+    arrays = {name: getattr(dataset, name) for name, _, _ in layout}
+    _check_arrays("dataset", arrays, layout)
     header = {"kind": "dataset", "spec": asdict(dataset.spec)}
-    arrays = [
-        (f.name, getattr(dataset, f.name)) for f in fields(Dataset) if f.name != "spec"
-    ]
-    write_container(path, header, arrays)
+    write_container(path, header, list(arrays.items()))
 
 
 def load_dataset(path) -> Dataset:
@@ -215,80 +215,49 @@ def load_dataset(path) -> Dataset:
 # checkpoints
 
 
-def _layer_stems(prefix: str, n_trunk: int) -> list[str]:
-    """Array name stem of each layer: <prefix>.trunk.<i>, then <prefix>.proj.<j>."""
-    trunk = [f"{prefix}.trunk.{i}" for i in range(n_trunk)]
-    return trunk + [f"{prefix}.proj.0", f"{prefix}.proj.1"]
-
-
-def _param_arrays(prefix: str, params: EncoderParams):
-    stems = _layer_stems(prefix, len(params.trunk))
-    return [
-        (f"{stem}.{part}", a)
-        for stem, layer in zip(stems, params.layers)
-        for part, a in zip("wb", layer)
-    ]
-
-
-def _params_from_arrays(prefix: str, arrays, n_trunk: int) -> EncoderParams:
-    stems = _layer_stems(prefix, n_trunk)
-    return EncoderParams(tuple((arrays[f"{s}.w"], arrays[f"{s}.b"]) for s in stems))
-
-
-def _state_arrays(state: TrainState):
-    """Every array of a training state, named and ordered as stored."""
-    return (
-        _param_arrays("q", state.params_q)
-        + _param_arrays("k", state.params_k)
-        + _param_arrays("v", state.velocity)
-        + [
-            ("queue.features", state.queue.features),
-            ("queue.labels", state.queue.labels),
-        ]
-    )
-
-
 def _checkpoint_layout(cfg: RunConfig):
-    """(name, shape, dtype) of every array of a state trained under ``cfg``.
-
-    The template state is made of zero-stride broadcast views, which take no
-    memory: the config comes from the file being checked, and real arrays
-    would allocate whatever size it declares.
-    """
-    def zeros(*shape, dtype=np.float64):
-        return np.broadcast_to(np.zeros((), dtype), shape)
-
-    m = cfg.model
+    """(name, shape, dtype) of every array of a state trained under ``cfg``,
+    in stored order: each layer of q, k and v (w, then b), then the queue."""
+    m, q = cfg.model, cfg.train.queue_size
     dims = [cfg.dataset.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim]
-    layers = tuple((zeros(a, b), zeros(b)) for a, b in zip(dims, dims[1:]))
-    params = EncoderParams(layers)
-    queue = PairQueue(
-        features=zeros(cfg.train.queue_size, m.embed_dim),
-        labels=zeros(cfg.train.queue_size, dtype=np.int64),
-    )
-    template = TrainState(
-        params_q=params, params_k=params, velocity=params, queue=queue, step=0
-    )
-    return [(name, a.shape, a.dtype) for name, a in _state_arrays(template)]
+    stems = [f"trunk.{i}" for i in range(len(m.trunk))] + ["proj.0", "proj.1"]
+    layout = []
+    for tree in "qkv":
+        for stem, a, b in zip(stems, dims, dims[1:]):
+            layout.append((f"{tree}.{stem}.w", (a, b), np.float64))
+            layout.append((f"{tree}.{stem}.b", (b,), np.float64))
+    layout.append(("queue.features", (q, m.embed_dim), np.float64))
+    layout.append(("queue.labels", (q,), np.int64))
+    return layout
 
 
 def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
     """All training state in one container; the rng needs no raw state —
-    streams are derived from (config seed, step), both recorded here."""
+    streams are derived from (config seed, step), both recorded here. A
+    state that does not fit the layout ``cfg`` implies is never written."""
+    layout = _checkpoint_layout(cfg)
+    trees = (state.params_q, state.params_k, state.velocity)
+    values = [a for t in trees for a in leaves(t)]
+    values += [state.queue.features, state.queue.labels]
+    # a state with fewer arrays lacks the last names; one with more puts a
+    # float leaf where queue.labels (i8) belongs: either way the check fails
+    arrays = {name: a for (name, _, _), a in zip(layout, values)}
+    _check_arrays("checkpoint", arrays, layout)
     header = {
         "kind": "checkpoint",
         "config": config_to_dict(cfg),
         "step": state.step,
         "queue": {"cursor": state.queue.cursor},
     }
-    write_container(path, header, _state_arrays(state))
+    write_container(path, header, list(arrays.items()))
 
 
 def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
-    """The arrays must have the layout the stored config implies, and the
-    queue must keep its own rules: unit-norm rows (to ``push_batch``'s
-    tolerance) and labels in [UNLABELED, n_classes). Header keys other than
-    config, step and queue cursor are ignored."""
+    """The arrays must have the layout the stored config implies, the step
+    must lie within that config's run, and the queue must keep its own
+    rules: unit-norm rows (to ``push_batch``'s tolerance) and labels in
+    [UNLABELED, n_classes). Header keys other than config, step and queue
+    cursor are ignored."""
     header, arrays = read_container(path)
     if header.get("kind") != "checkpoint":
         raise StorageError(f"not a checkpoint file (kind={header.get('kind')!r})")
@@ -297,8 +266,12 @@ def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
         step, queue = header["step"], header["queue"]
     except KeyError as exc:
         raise StorageError(f"checkpoint file lacks {exc}") from None
-    if not _is_count(step):
-        raise StorageError(f"checkpoint step must be an integer >= 0, got {step!r}")
+    spe = steps_per_epoch(cfg.dataset.n_train, cfg.train.batch_size)
+    total = cfg.train.epochs * spe
+    if not (_is_count(step) and step <= total):
+        raise StorageError(
+            f"checkpoint step must be an integer in [0, {total}], got {step!r}"
+        )
     capacity = cfg.train.queue_size
     cursor = queue.get("cursor") if isinstance(queue, dict) else None
     if not (_is_count(cursor) and cursor < capacity):
@@ -306,8 +279,12 @@ def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
             f"checkpoint queue cursor must be an integer in [0, {capacity}), "
             f"got {queue!r}"
         )
-    _check_arrays("checkpoint", arrays, _checkpoint_layout(cfg))
-    features, labels = arrays["queue.features"], arrays["queue.labels"]
+    layout = _checkpoint_layout(cfg)
+    _check_arrays("checkpoint", arrays, layout)
+    values = iter([arrays[name] for name, _, _ in layout])
+    # (w, b) of every layer of q, k and v in turn, then (features, labels)
+    pairs = list(zip(values, values))
+    features, labels = pairs.pop()
     with np.errstate(over="ignore"):  # a huge row's norm is inf: rejected
         norms = np.linalg.norm(features, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
@@ -317,11 +294,9 @@ def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
         raise StorageError(
             f"checkpoint queue holds labels outside [{UNLABELED}, {n_classes})"
         )
-    n_trunk = len(cfg.model.trunk)
+    n = len(pairs) // 3
     state = TrainState(
-        params_q=_params_from_arrays("q", arrays, n_trunk),
-        params_k=_params_from_arrays("k", arrays, n_trunk),
-        velocity=_params_from_arrays("v", arrays, n_trunk),
+        *(EncoderParams(tuple(pairs[i : i + n])) for i in range(0, 3 * n, n)),
         queue=PairQueue(features=features, labels=labels, cursor=cursor),
         step=step,
     )

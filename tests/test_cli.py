@@ -383,6 +383,8 @@ BAD_CHECKPOINT_HEADERS = {
     "queue_not_object": lambda h: h.update(queue=5),
     "cursor_not_int": lambda h: h.update(queue={"cursor": "x"}),
     "negative_step": lambda h: h.update(step=-1),
+    # one past the 16 steps (2 epochs of 192 // 24) of SMALL_CONFIG's run
+    "step_past_end": lambda h: h.update(step=(192 // 24) * 2 + 1),
     "no_config": lambda h: h.pop("config"),
     "trunk_w_transposed": lambda h: _entry(h, "q.trunk.0.w")["shape"].reverse(),
     "labels_as_f8": lambda h: _entry(h, "queue.labels").update(dtype="f8"),
@@ -646,6 +648,21 @@ def test_repeated_resume_writes_each_step_once(workspace):
     for _ in range(2):
         assert main(base + ["--resume", str(step5), "--max-steps", "10"]) == 0
     assert [m.step for m in read_metrics(out / "metrics.csv")] == list(range(10))
+
+
+def test_finished_run_checkpoint_loads_and_resumes_without_a_step(workspace):
+    # step == epochs * steps_per_epoch is the last step a checkpoint can hold
+    tmp_path, config, data = workspace
+    out = tmp_path / "run"
+    base = ["pretrain", "--config", str(config), "--data", str(data),
+            "--out-dir", str(out)]
+    assert main(base) == 0
+    ckpt = out / "checkpoint.umc"
+    finished, total = ckpt.read_bytes(), (192 // 24) * 2
+    assert load_checkpoint(ckpt)[0].step == total
+    assert main(base + ["--resume", str(ckpt)]) == 0
+    assert ckpt.read_bytes() == finished
+    assert [m.step for m in read_metrics(out / "metrics.csv")] == list(range(total))
 
 
 @pytest.mark.parametrize("value", ["-1", "-100"])

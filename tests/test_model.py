@@ -20,7 +20,7 @@ from conlab.model import (
     trunk_features,
     zeros_like_params,
 )
-from conlab.numerics import Rng
+from conlab.numerics import DEGENERATE_NORM, DegenerateVectorError, Rng
 
 
 def small_params(seed=0, input_dim=7, trunk=(10, 6), proj_hidden=6, embed=5):
@@ -80,6 +80,35 @@ def test_forward_unit_norm_output():
     assert out.shape == (9, 5)
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     assert tape.out is out
+
+
+def test_forward_normalizes_along_raw_embedding():
+    # each output row is the raw embedding (last pre-activation) over its norm
+    p = small_params(1)
+    x = Rng(2).stream("x").normal(size=(40, 7)) * 10.0
+    out, tape = forward(p, x)
+    assert np.all(tape.norms > 0.0)
+    assert np.allclose(out * tape.norms[:, None], tape.pre[-1], atol=1e-9)
+
+
+def _with_last_bias(params, bias):
+    """params whose embedding is ``bias`` for every input: zero last weights."""
+    w, _ = params.layers[-1]
+    return EncoderParams(params.layers[:-1] + ((np.zeros_like(w), bias),))
+
+
+def test_forward_unit_embedding_row_unchanged():
+    p = _with_last_bias(small_params(1), np.array([0.6, 0.8, 0.0, 0.0, 0.0]))
+    out, _ = forward(p, Rng(2).stream("x").normal(size=(3, 7)))
+    assert np.allclose(out, [0.6, 0.8, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_forward_degenerate_embedding_raises():
+    # a zero last layer, and a bias row of norm at or below DEGENERATE_NORM
+    for norm in (0.0, DEGENERATE_NORM / 2):
+        p = _with_last_bias(small_params(1), np.array([norm, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(DegenerateVectorError, match="degenerate vector"):
+            forward(p, Rng(2).stream("x").normal(size=(3, 7)))
 
 
 def test_forward_deterministic():

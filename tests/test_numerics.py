@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conlab.numerics import (
-    DEGENERATE_NORM,
-    Rng,
-    l2_normalize_rows,
-    log_sum_exp,
-    sigmoid,
-    softplus,
-)
+from conlab.numerics import Rng, log_sum_exp, sigmoid, softplus
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -126,40 +119,6 @@ def test_sigmoid_complement(x):
     with np.errstate(over="raise"):
         assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-15)
         assert 0.0 <= sigmoid(x) <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# l2_normalize_rows
-
-
-def test_normalize_rows_unit_norm_and_direction():
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(40, 7)) * 10.0
-    u = l2_normalize_rows(m)
-    assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
-    # direction preserved: each output row is a positive multiple of the input
-    scale = np.linalg.norm(m, axis=1, keepdims=True)
-    assert np.allclose(u * scale, m, atol=1e-9)
-
-
-def test_normalize_rows_idempotent():
-    rng = np.random.default_rng(1)
-    u = l2_normalize_rows(rng.normal(size=(10, 5)))
-    assert np.allclose(l2_normalize_rows(u), u, atol=1e-12)
-
-
-def test_normalize_rows_unit_row_unchanged():
-    row = np.array([[0.6, 0.8]])
-    assert np.allclose(l2_normalize_rows(row), row, atol=1e-12)
-
-
-def test_normalize_rows_degenerate_and_shape_errors():
-    with pytest.raises(ValueError, match="degenerate vector"):
-        l2_normalize_rows(np.array([[0.0, 0.0]]))
-    with pytest.raises(ValueError, match="degenerate vector"):
-        l2_normalize_rows(np.array([[1.0, 0.0], [DEGENERATE_NORM / 2, 0.0]]))
-    with pytest.raises(ValueError, match="2-d"):
-        l2_normalize_rows(np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,22 @@ def test_checkpoint_kind_enforced(tmp_path, small_dataset):
         load_checkpoint(path)
 
 
+def test_save_checkpoint_refuses_state_that_does_not_fit_cfg(tmp_path):
+    cfg = RunConfig()
+    state = init_state(cfg.model, cfg.train, cfg.dataset.input_dim)
+    narrow = replace(cfg, model=replace(cfg.model, trunk=(64, 31)))
+    with pytest.raises(StorageError, match=r"'q\.trunk\.1\.w' has shape"):
+        save_checkpoint(tmp_path / "ck.umc", state, narrow)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_dataset_refuses_arrays_that_do_not_fit_spec(tmp_path, small_dataset):
+    spec = replace(small_dataset.spec, n_train=small_dataset.spec.n_train + 1)
+    with pytest.raises(StorageError, match="'train_x' has shape"):
+        save_dataset(tmp_path / "d.umc", replace(small_dataset, spec=spec))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # metrics CSV
 
