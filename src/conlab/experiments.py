@@ -9,6 +9,7 @@ plain single-positive run when no labels are visible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .config import RunConfig, with_train
@@ -51,7 +52,10 @@ def compare_grid(
     progress=None,
 ) -> CompareResult:
     """Run the full cross-product. Deterministic: cells depend only on
-    (dataset, config, loss, alpha, seed), never on execution order."""
+    (dataset, config, loss, alpha, seed), never on execution order.
+
+    A loss or seed given twice is an error (it would run its cells again and
+    count its results twice); repeated alphas collapse into one column."""
     losses = tuple(losses)
     seeds = tuple(int(s) for s in seeds)
     for kind in losses:
@@ -61,6 +65,10 @@ def compare_grid(
         raise ValueError("need at least one loss")
     if not seeds:
         raise ValueError("need at least one seed")
+    for noun, values in (("loss", losses), ("seed", seeds)):
+        repeated = [str(v) for v, n in Counter(values).items() if n > 1]
+        if repeated:
+            raise ValueError(f"repeated {noun}: {', '.join(repeated)}")
     alphas = tuple(sorted({float(a) for a in alphas} | {0.0}))
     for a in alphas:
         if not 0.0 <= a <= 1.0:

@@ -102,6 +102,43 @@ def _unit_rows_safe(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(norms, 1e-30)
 
 
+# Test rows per similarity block: 128 x 5000 float64 is 5 MB, which stays in
+# cache, and the probe's memory does not grow with the number of test rows.
+_KNN_BLOCK = 128
+
+
+def _row_blocks(n: int):
+    """(start, stop) of each block of ``_KNN_BLOCK`` rows. A lone last row
+    joins the block before it: numpy multiplies a single row with gemv,
+    which may round differently from the gemm of a many-row product."""
+    starts = list(range(0, n, _KNN_BLOCK))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k largest entries, in the order a stable argsort of
+    ``-sims`` gives: descending similarity, the smaller index first on ties.
+
+    Selection finds the k without sorting the row. Where more than k entries
+    reach the k-th largest value (a tie at the cut), selection may keep any
+    of them, so those rows are sorted in full to keep the smaller indices.
+    """
+    n = sims.shape[1]
+    cand = np.argpartition(sims, n - k, axis=1)[:, n - k :]
+    kth = np.take_along_axis(sims, cand[:, :1], axis=1)
+    cand = np.sort(cand, axis=1)
+    vals = np.take_along_axis(sims, cand, axis=1)
+    nearest = np.take_along_axis(
+        cand, np.argsort(-vals, axis=1, kind="stable"), axis=1
+    )
+    tied = np.count_nonzero(sims >= kth, axis=1) > k
+    if tied.any():
+        nearest[tied] = np.argsort(-sims[tied], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def knn_probe(
     train_features: np.ndarray,
     train_labels: np.ndarray,
@@ -112,7 +149,10 @@ def knn_probe(
 ) -> float:
     """Cosine-similarity k-nearest-neighbor vote; returns test top-1.
 
-    With ``temperature`` set, neighbor votes are weighted by
+    Neighbors are the k most similar train rows; on equal similarity the
+    smaller train index wins. Test rows go in blocks of ``_KNN_BLOCK``, so
+    the whole test x train similarity matrix is never held. With
+    ``temperature`` set, neighbor votes are weighted by
     exp(similarity / temperature); otherwise each neighbor counts once.
     Vote ties go to the smaller class index.
     """
@@ -122,14 +162,19 @@ def knn_probe(
     if not 1 <= k <= n_train:
         raise ValueError(f"k invalid: need 1 <= k <= {n_train}, got {k}")
 
-    sims = _unit_rows_safe(test_features) @ _unit_rows_safe(train_features).T
-    neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    train_u = _unit_rows_safe(train_features)
+    test_u = _unit_rows_safe(test_features)
+    neighbors = np.empty((test_u.shape[0], k), dtype=np.intp)
+    top = np.empty(neighbors.shape)
+    for lo, hi in _row_blocks(test_u.shape[0]):
+        sims = test_u[lo:hi] @ train_u.T
+        neighbors[lo:hi] = _nearest(sims, k)
+        top[lo:hi] = np.take_along_axis(sims, neighbors[lo:hi], axis=1)
     neighbor_labels = train_labels[neighbors]
     if temperature is None:
         weights = np.ones(neighbors.shape)
     else:
         # shifted by each row's top similarity: the same vote, no overflow
-        top = np.take_along_axis(sims, neighbors, axis=1)
         weights = np.exp((top - top[:, :1]) / temperature)
 
     n_test = test_labels.size

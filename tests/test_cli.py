@@ -257,6 +257,28 @@ def test_compare_rejects_unknown_loss(workspace, capsys):
     assert "unknown loss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "losses, seeds, message",
+    [
+        ("unicon,unicon", "3,3", "repeated loss: unicon"),
+        ("unicon", "1,1,2", "repeated seed: 1"),
+    ],
+)
+def test_compare_rejects_repeated_loss_or_seed(
+    workspace, capsys, losses, seeds, message
+):
+    tmp_path, config, data = workspace
+    out = tmp_path / "cmp"
+    code = main(
+        ["compare", "--config", str(config), "--data", str(data),
+         "--losses", losses, "--alphas", "1", "--seeds", seeds,
+         "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     code = main(
         ["pretrain", "--config", str(tmp_path / "none.json"),

@@ -50,6 +50,31 @@ def test_grid_validates_inputs(small_cfg, small_dataset):
         compare_grid(small_dataset, small_cfg, ("unicon",), (1.5,), (0,))
 
 
+@pytest.mark.parametrize(
+    "losses, seeds, message",
+    [
+        (("unicon", "unicon"), (3,), "repeated loss: unicon"),
+        (("unicon",), (3, 3), "repeated seed: 3"),
+        (("unicon", "infonce"), (1, 1, 2), "repeated seed: 1"),
+    ],
+)
+def test_grid_rejects_repeated_losses_and_seeds(
+    small_cfg, small_dataset, losses, seeds, message
+):
+    # a repeated loss or seed would rerun its cells, print a loss row twice,
+    # or count one seed twice in the means
+    cfg = with_train(small_cfg, epochs=1)
+    with pytest.raises(ValueError, match=message):
+        compare_grid(small_dataset, cfg, losses, (1.0,), seeds)
+
+
+def test_grid_collapses_repeated_alphas(small_cfg, small_dataset):
+    cfg = with_train(small_cfg, epochs=1)
+    result = compare_grid(small_dataset, cfg, ("unicon",), (1.0, 0.0, 1.0), (0,))
+    assert result.alphas == (0.0, 1.0)
+    assert len(compare_to_dict(result)["cells"]) == 2
+
+
 def test_csv_layout(tiny_grid):
     lines = compare_to_csv(tiny_grid).strip().splitlines()
     assert lines[0] == "loss,alpha_0,alpha_1"

@@ -1,12 +1,23 @@
 """Linear and kNN evaluation on frozen features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conlab.config import ProbeConfig
 from conlab.model import init_params, trunk_features
 from conlab.numerics import Rng
-from conlab.probes import extract_features, knn_probe, linear_probe, run_probes
+from conlab.probes import (
+    _KNN_BLOCK,
+    _nearest,
+    _row_blocks,
+    _unit_rows_safe,
+    extract_features,
+    knn_probe,
+    linear_probe,
+    run_probes,
+)
 
 PROBE_CFG = ProbeConfig(epochs=15, lr=0.5, batch_size=32, knn_k=5)
 
@@ -180,6 +191,134 @@ def test_knn_sharp_temperature_does_not_overflow():
     with np.errstate(over="raise"):
         assert knn_probe(f_tr, y_tr, f_te, y_te, k=3, temperature=1e-3) == 1.0
     assert knn_probe(f_tr, y_tr, f_te, y_te, k=3) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# kNN probe against the full-matrix reference
+
+
+def knn_reference(train_f, train_y, test_f, test_y, k, temperature=None):
+    """The probe without row blocks or selection: a stable argsort of the
+    whole test x train similarity matrix, then the same vote."""
+    sims = _unit_rows_safe(test_f) @ _unit_rows_safe(train_f).T
+    neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    if temperature is None:
+        weights = np.ones(neighbors.shape)
+    else:
+        top = np.take_along_axis(sims, neighbors, axis=1)
+        weights = np.exp((top - top[:, :1]) / temperature)
+    votes = np.zeros((test_y.size, int(train_y.max()) + 1))
+    rows = np.repeat(np.arange(test_y.size), k)
+    np.add.at(votes, (rows, train_y[neighbors].ravel()), weights.ravel())
+    return float(np.mean(votes.argmax(axis=1) == test_y))
+
+
+def knn_case(seed, n_train, n_test, d):
+    """Features full of exact similarity ties: duplicated train rows, all-zero
+    train and test rows (similarity exactly 0 to everything), test rows that
+    copy a duplicated train row, and on even seeds integer-rounded values."""
+    rng = np.random.default_rng(seed)
+    f_tr = rng.normal(size=(n_train, d))
+    f_te = rng.normal(size=(n_test, d))
+    if seed % 2 == 0:
+        f_tr, f_te = np.round(f_tr), np.round(f_te)
+    f_tr[rng.integers(0, n_train, n_train // 4)] = f_tr[0]
+    f_tr[rng.integers(0, n_train, n_train // 10)] = 0.0
+    f_te[rng.integers(0, n_test, n_test // 5)] = f_tr[0]
+    f_te[rng.integers(0, n_test, max(1, n_test // 10))] = 0.0
+    y_tr = rng.integers(0, 4, n_train)
+    y_te = rng.integers(0, 4, n_test)
+    return f_tr, y_tr, f_te, y_te
+
+
+# (seed, n_train, n_test, d, k): k = 1, a middle k and k = n_train; n_test
+# of 1, below the block, a block plus one row, and not a block multiple
+KNN_CASES = [
+    (0, 240, 90, 6, 1),
+    (1, 240, 90, 6, 15),
+    (2, 240, 90, 6, 240),
+    (3, 203, 1, 5, 7),
+    (4, 203, 300, 5, 7),
+    (5, 64, 129, 3, 64),
+    (6, 500, 257, 8, 20),
+    (7, 37, 2 * _KNN_BLOCK, 4, 1),
+]
+
+
+@pytest.mark.parametrize("temperature", [None, 0.5, 1e-3])
+@pytest.mark.parametrize("seed, n_train, n_test, d, k", KNN_CASES)
+def test_knn_matches_full_sort_reference(seed, n_train, n_test, d, k, temperature):
+    f_tr, y_tr, f_te, y_te = knn_case(seed, n_train, n_test, d)
+    assert knn_probe(f_tr, y_tr, f_te, y_te, k, temperature) == knn_reference(
+        f_tr, y_tr, f_te, y_te, k, temperature
+    )
+
+
+@pytest.mark.parametrize("seed, n_train, n_test, d, k", KNN_CASES)
+def test_knn_neighbors_in_stable_argsort_order(seed, n_train, n_test, d, k):
+    # the neighbour order, not only the set, must match: np.add.at sums each
+    # row's weighted votes in that order
+    f_tr, _, f_te, _ = knn_case(seed, n_train, n_test, d)
+    sims = _unit_rows_safe(f_te) @ _unit_rows_safe(f_tr).T
+    expected = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(_nearest(sims, k), expected)
+
+
+def test_knn_tie_at_the_cut_keeps_smaller_indices():
+    # five train rows at similarity 1, k = 3: selection alone may keep any
+    # three of them; the stable order keeps indices 1, 2, 4
+    sims = np.array([[0.5, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, -1.0]])
+    assert _nearest(sims, 3).tolist() == [[1, 2, 4]]
+    assert _nearest(sims, 6).tolist() == [[1, 2, 4, 5, 6, 0]]
+
+
+def test_row_blocks_cover_rows_without_a_lone_last_row():
+    assert list(_row_blocks(0)) == []
+    assert list(_row_blocks(1)) == [(0, 1)]
+    b = _KNN_BLOCK
+    assert list(_row_blocks(b)) == [(0, b)]
+    assert list(_row_blocks(b + 1)) == [(0, b + 1)]
+    assert list(_row_blocks(2 * b + 5)) == [(0, b), (b, 2 * b), (2 * b, 2 * b + 5)]
+
+
+@pytest.mark.parametrize(
+    "n_test, n_train, width",
+    [
+        (1000, 5000, 32),
+        (90, 240, 12),
+        (60, 192, 12),
+        (24, 48, 12),
+        (1, 240, 12),
+        (_KNN_BLOCK + 1, 240, 12),
+    ],
+)
+def test_knn_block_similarities_equal_full_product(n_test, n_train, width):
+    # The probe's output equals the full-matrix version only if BLAS rounds a
+    # row of a block product as it rounds that row of the full product.
+    # Checked at the shapes conlab probes (the default dataset and the test
+    # configs), and with one row past a block, which alone would go to gemv.
+    rng = np.random.default_rng(n_test)
+    test_u = _unit_rows_safe(rng.normal(size=(n_test, width)))
+    train_u = _unit_rows_safe(rng.normal(size=(n_train, width)))
+    full = test_u @ train_u.T
+    for lo, hi in _row_blocks(n_test):
+        assert np.array_equal(test_u[lo:hi] @ train_u.T, full[lo:hi])
+
+
+def test_knn_memory_stays_within_blocks():
+    # the full 1000 x 5000 similarity matrix alone is 40 MB, its argsort 40 MB
+    rng = np.random.default_rng(0)
+    f_tr = rng.normal(size=(5000, 32))
+    f_te = rng.normal(size=(1000, 32))
+    y_tr = np.arange(5000) % 5
+    y_te = np.arange(1000) % 5
+    tracemalloc.start()
+    try:
+        knn_probe(f_tr, y_tr, f_te, y_te, k=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 # ---------------------------------------------------------------------------
