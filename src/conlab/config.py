@@ -23,8 +23,19 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+class _Checked:
+    """A config section checks its own rules when it is built, so a section
+    from JSON, `with_train`, `dataclasses.replace` or a constructor call is
+    valid, and no caller re-checks it."""
+
+    def __post_init__(self):
+        problems = self.validate()
+        if problems:
+            raise ConfigError(problems)
+
+
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(_Checked):
     n_classes: int = 5
     input_dim: int = 20
     n_train: int = 5000
@@ -53,7 +64,7 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_Checked):
     trunk: tuple[int, ...] = (64, 32)
     proj_hidden: int | None = None  # defaults to the trunk output width
     embed_dim: int = 16
@@ -74,7 +85,7 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class AugConfig:
+class AugConfig(_Checked):
     # Deliberately gentle views. The label-ratio effect lives here: with weak
     # augmentation the instance-matching task saturates early, so unlabeled
     # training plateaus while label-driven positives keep supplying signal.
@@ -91,7 +102,7 @@ class AugConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Checked):
     tau: float = 0.2
     momentum_m: float = 0.999
     queue_size: int = 512
@@ -128,15 +139,17 @@ class TrainConfig:
         if self.weight_decay < 0:
             problems.append("train.weight_decay: must be >= 0")
         if self.loss not in LOSS_KINDS:
-            problems.append(f"train.loss: must be one of {', '.join(LOSS_KINDS)}")
+            problems.append(
+                f"train.loss: unknown loss {self.loss!r}; "
+                f"must be one of {', '.join(LOSS_KINDS)}"
+            )
         if self.seed < 0:
             problems.append("train.seed: must be >= 0")
-        problems.extend(self.aug.validate())
         return problems
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Checked):
     epochs: int = 40
     lr: float = 0.5
     batch_size: int = 128
@@ -145,8 +158,9 @@ class ProbeConfig:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.epochs < 1:
-            problems.append("probe.epochs: must be >= 1")
+        # bounded, so that a checkpoint file cannot ask `probe` for endless work
+        if not 1 <= self.epochs <= 1000:
+            problems.append("probe.epochs: must lie in [1, 1000]")
         if self.lr <= 0:
             problems.append("probe.lr: must be > 0")
         if self.batch_size < 1:
@@ -164,14 +178,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-
-    def validate(self) -> list[str]:
-        return (
-            self.dataset.validate()
-            + self.model.validate()
-            + self.train.validate()
-            + self.probe.validate()
-        )
 
 
 # JSON checks per field type: (accepts, convert, what the message expects)
@@ -219,7 +225,11 @@ def _section_from_dict(cls, data, where: str, problems: list[str]):
             problems.append(
                 f"{where}.{key}: expected {expected}{' or null' if optional else ''}"
             )
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        problems.extend(exc.problems)
+        return cls()
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -235,11 +245,9 @@ def config_from_dict(data: dict) -> RunConfig:
             problems.append(f"{key}: unknown section")
             continue
         sections[key] = _section_from_dict(types[key], value, key, problems)
-    cfg = RunConfig(**sections)
-    problems.extend(cfg.validate())
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return RunConfig(**sections)
 
 
 def load_config(path) -> RunConfig:

@@ -64,9 +64,6 @@ def _balanced_split(means, spread, n, rng):
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
     """Deterministic mixture-of-Gaussians classification data."""
-    problems = spec.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
     root = Rng(spec.seed)
     means = spec.mean_radius * root.stream("means").unit_rows(
         spec.n_classes, spec.input_dim

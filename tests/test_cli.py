@@ -279,6 +279,21 @@ def test_compare_rejects_repeated_loss_or_seed(
     assert not out.exists()
 
 
+def test_compare_rejects_negative_seed_before_any_cell(workspace, capsys):
+    tmp_path, config, data = workspace
+    out = tmp_path / "cmp"
+    code = main(
+        ["compare", "--config", str(config), "--data", str(data),
+         "--losses", "unicon", "--alphas", "1", "--seeds", "0,-1", "--verbose",
+         "--out-dir", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: train.seed: must be >= 0\n"
+    assert not out.exists()
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     code = main(
         ["pretrain", "--config", str(tmp_path / "none.json"),
@@ -427,6 +442,19 @@ def test_bad_checkpoint_header_exit_2(workspace, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_checkpoint_asking_for_endless_probe_exit_2(workspace, capsys):
+    # a probe.epochs of 2**40 would train the linear probe without end
+    tmp_path, config, data = workspace
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    _edit_header(ckpt, lambda h: h["config"]["probe"].update(epochs=2**40))
+    code = main(
+        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(tmp_path / "p.json")]
+    )
+    assert code == 2
+    assert "config error: probe.epochs:" in capsys.readouterr().err
 
 
 def test_dataset_with_reshaped_train_x_exit_2(workspace, capsys):

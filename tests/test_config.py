@@ -24,7 +24,9 @@ from conlab.config import (
 
 
 def test_defaults_are_valid():
-    assert RunConfig().validate() == []
+    cfg = RunConfig()
+    for section in (cfg.dataset, cfg.model, cfg.train, cfg.train.aug, cfg.probe):
+        assert section.validate() == []
 
 
 def test_empty_document_gives_defaults():
@@ -94,11 +96,56 @@ def test_validation_bounds():
         ({"dataset": {"n_classes": 1}}, "dataset.n_classes"),
         ({"dataset": {"cluster_spread": 0.0}}, "dataset.cluster_spread"),
         ({"probe": {"knn_k": 0}}, "probe.knn_k"),
+        ({"probe": {"epochs": 1001}}, "probe.epochs"),
         ({"probe": {"knn_temperature": 0.0}}, "probe.knn_temperature"),
     ]
     for doc, needle in cases:
         with pytest.raises(ConfigError, match=needle):
             config_from_dict(doc)
+
+
+def test_every_problem_is_collected():
+    # one bad section must not hide the problems of the next, nor a bound
+    # error the type error beside it
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(
+            {
+                "dataset": {"n_classes": "5", "n_train": 1},
+                "model": {"embed_dim": 0},
+                "train": {"tau": -1.0, "aug": {"noise_std": -0.5}},
+                "probe": {"knn_k": 0},
+            }
+        )
+    problems = exc.value.problems
+    for needle in (
+        "dataset.n_classes: expected an integer",
+        "dataset.n_train: must be >= n_classes",
+        "model.embed_dim: must be >= 1",
+        "train.tau: must be > 0",
+        "train.aug.noise_std: must be >= 0",
+        "probe.knn_k: must be >= 1",
+    ):
+        assert needle in problems
+    assert len(problems) == 6
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: with_train(RunConfig(), lr=-0.05), "train.lr"),
+        (lambda: with_train(RunConfig(), tau=-0.2), "train.tau"),
+        (lambda: with_train(RunConfig(), epochs=-3), "train.epochs"),
+        (lambda: with_train(RunConfig(), loss="margin"), "unknown loss 'margin'"),
+        (lambda: dataclasses.replace(DatasetSpec(), n_classes=1), "dataset.n_classes"),
+        (lambda: ProbeConfig(epochs=2**40), "probe.epochs"),
+        (lambda: TrainConfig(aug=AugConfig(dropout_p=1.0)), "train.aug.dropout_p"),
+    ],
+    ids=["lr", "tau", "epochs", "loss", "replace", "probe_epochs", "nested_aug"],
+)
+def test_configs_built_in_code_are_checked(build, needle):
+    # with_train, replace and constructors go through the same rules as JSON
+    with pytest.raises(ConfigError, match=needle):
+        build()
 
 
 def test_epochs_zero_is_allowed():

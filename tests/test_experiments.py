@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from conlab.config import with_train
+from conlab import experiments
+from conlab.config import ConfigError, with_train
 from conlab.experiments import (
     compare_grid,
     compare_to_csv,
@@ -42,12 +43,28 @@ def test_grid_deterministic(small_cfg, small_dataset):
 
 
 def test_grid_validates_inputs(small_cfg, small_dataset):
-    with pytest.raises(ValueError, match="unknown loss kind"):
+    with pytest.raises(ConfigError, match="unknown loss 'margin'"):
         compare_grid(small_dataset, small_cfg, ("margin",), (1.0,), (0,))
     with pytest.raises(ValueError, match="at least one seed"):
         compare_grid(small_dataset, small_cfg, ("unicon",), (1.0,), ())
-    with pytest.raises(ValueError, match="alphas"):
+    with pytest.raises(ConfigError, match="train.label_ratio"):
         compare_grid(small_dataset, small_cfg, ("unicon",), (1.5,), (0,))
+
+
+def test_grid_checks_every_cell_before_training(small_cfg, small_dataset, monkeypatch):
+    # a bad seed late in the grid must not cost the training of earlier cells
+    calls = []
+    real_pretrain = experiments.pretrain
+
+    def counting_pretrain(dataset, cfg):
+        calls.append(cfg.train.seed)
+        return real_pretrain(dataset, cfg)
+
+    monkeypatch.setattr(experiments, "pretrain", counting_pretrain)
+    cfg = with_train(small_cfg, epochs=1)
+    with pytest.raises(ConfigError, match="train.seed"):
+        compare_grid(small_dataset, cfg, ("unicon",), (1.0,), (0, -1))
+    assert calls == []
 
 
 @pytest.mark.parametrize(
