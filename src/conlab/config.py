@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import get_args, get_type_hints
+from typing import ClassVar, get_args, get_type_hints
 
 from .losses import LOSS_KINDS
 
@@ -26,16 +27,27 @@ class ConfigError(ValueError):
 class _Checked:
     """A config section checks its own rules when it is built, so a section
     from JSON, `with_train`, `dataclasses.replace` or a constructor call is
-    valid, and no caller re-checks it."""
+    valid, and no caller re-checks it. `_where` names the section in
+    messages."""
+
+    _where: ClassVar[str]
 
     def __post_init__(self):
-        problems = self.validate()
+        # every rule in validate() is a rejecting comparison, which NaN passes
+        problems = [
+            f"{self._where}.{f.name}: must be finite"
+            for f in fields(self)
+            if isinstance(v := getattr(self, f.name), float) and not math.isfinite(v)
+        ]
+        problems += self.validate()
         if problems:
             raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
 class DatasetSpec(_Checked):
+    _where = "dataset"
+
     n_classes: int = 5
     input_dim: int = 20
     n_train: int = 5000
@@ -65,6 +77,8 @@ class DatasetSpec(_Checked):
 
 @dataclass(frozen=True)
 class ModelConfig(_Checked):
+    _where = "model"
+
     trunk: tuple[int, ...] = (64, 32)
     proj_hidden: int | None = None  # defaults to the trunk output width
     embed_dim: int = 16
@@ -89,6 +103,8 @@ class AugConfig(_Checked):
     # Deliberately gentle views. The label-ratio effect lives here: with weak
     # augmentation the instance-matching task saturates early, so unlabeled
     # training plateaus while label-driven positives keep supplying signal.
+    _where = "train.aug"
+
     noise_std: float = 0.15
     dropout_p: float = 0.0
 
@@ -103,6 +119,8 @@ class AugConfig(_Checked):
 
 @dataclass(frozen=True)
 class TrainConfig(_Checked):
+    _where = "train"
+
     tau: float = 0.2
     momentum_m: float = 0.999
     queue_size: int = 512
@@ -150,6 +168,8 @@ class TrainConfig(_Checked):
 
 @dataclass(frozen=True)
 class ProbeConfig(_Checked):
+    _where = "probe"
+
     epochs: int = 40
     lr: float = 0.5
     batch_size: int = 128
@@ -180,10 +200,19 @@ class RunConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
 
+def _is_number(v) -> bool:
+    """A JSON number that is a finite float: not NaN or ±Infinity, which
+    `json.load` accepts, and not an integer too large for a float."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 # JSON checks per field type: (accepts, convert, what the message expects)
 _JSON_TYPES = {
     int: (lambda v: type(v) is int, int, "an integer"),
-    float: (lambda v: type(v) in (int, float), float, "a number"),
+    float: (_is_number, float, "a number"),
     str: (lambda v: isinstance(v, str), str, "a string"),
     tuple[int, ...]: (
         lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v),

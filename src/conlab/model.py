@@ -6,13 +6,17 @@ output; the projection head exists only for the contrastive objective.
 Trunk and head are one tuple of layers, so forward and backward are each a
 single loop with a ReLU between consecutive layers.
 
-Parameters are immutable values: updates (gradient steps, momentum mixing)
-build new trees. The same tree shape doubles as the container for gradients
-and optimizer velocity.
+Each parameter tree holds all its arrays in one contiguous float64 vector
+``flat``; a layer's weights and bias are reshaped views of it. Updates
+(gradient steps, momentum mixing) apply their elementwise formula once to
+whole flat vectors and build a new tree around the result, never writing
+into an existing one. The same tree shape doubles as the container for
+gradients and optimizer velocity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +26,53 @@ from .numerics import DEGENERATE_NORM, DegenerateVectorError, Rng
 Layer = tuple[np.ndarray, np.ndarray]  # (weights (in, out), bias (out,))
 
 
-@dataclass(frozen=True)
-class EncoderParams:
-    """The trunk layers, then the two projection layers."""
+class _Layout:
+    """Where each leaf of one tree shape sits in the flat vector: computed
+    once per shape and shared by every tree derived from it."""
 
-    layers: tuple[Layer, ...]
+    __slots__ = ("shapes", "spans", "size")
+
+    def __init__(self, shapes: tuple[tuple[int, ...], ...]):
+        self.shapes = shapes
+        spans, end = [], 0
+        for shape in shapes:
+            start, end = end, end + math.prod(shape)
+            spans.append(slice(start, end))
+        self.spans = tuple(spans)
+        self.size = end
+
+    def views(self, flat: np.ndarray) -> tuple[Layer, ...]:
+        views = iter([flat[s].reshape(n) for s, n in zip(self.spans, self.shapes)])
+        return tuple(zip(views, views))
+
+
+class EncoderParams:
+    """The trunk layers, then the two projection layers.
+
+    ``EncoderParams(layers)`` copies the given ``(w, b)`` pairs into a new
+    flat vector; ``layers`` then returns views of that vector.
+    """
+
+    __slots__ = ("flat", "_layout", "_layers")
+
+    def __init__(self, layers):
+        arrays = [a for layer in layers for a in layer]
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        self._layout = _Layout(tuple(np.shape(a) for a in arrays))
+        self._layers = None
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, layout: _Layout, layers=None) -> "EncoderParams":
+        """A tree around ``flat`` itself, which must not belong to another tree."""
+        tree = cls.__new__(cls)
+        tree.flat, tree._layout, tree._layers = flat, layout, layers
+        return tree
+
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        if self._layers is None:  # built on first use: velocity never needs them
+            self._layers = self._layout.views(self.flat)
+        return self._layers
 
     @property
     def trunk(self) -> tuple[Layer, ...]:
@@ -38,11 +84,11 @@ class EncoderParams:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0][0].shape[0]
+        return self._layout.shapes[0][0]
 
     @property
     def embed_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
+        return self._layout.shapes[-2][1]
 
 
 def leaves(params: EncoderParams) -> list[np.ndarray]:
@@ -50,14 +96,19 @@ def leaves(params: EncoderParams) -> list[np.ndarray]:
     return [a for layer in params.layers for a in layer]
 
 
+def _check_same_shape(trees) -> _Layout:
+    layout = trees[0]._layout
+    for t in trees[1:]:
+        if t._layout is not layout and t._layout.shapes != layout.shapes:
+            raise ValueError("shape mismatch")
+    return layout
+
+
 def map_leaves(fn, *trees: EncoderParams) -> EncoderParams:
-    """Apply fn leafwise across parameter trees of identical shape."""
-    return EncoderParams(
-        tuple(
-            tuple(fn(*same) for same in zip(*layer))
-            for layer in zip(*(t.layers for t in trees))
-        )
-    )
+    """Apply the elementwise fn once across the flat vectors of parameter
+    trees of identical shape; fn must return a new array."""
+    layout = _check_same_shape(trees)
+    return EncoderParams._wrap(fn(*(t.flat for t in trees)), layout)
 
 
 def zeros_like_params(params: EncoderParams) -> EncoderParams:
@@ -65,13 +116,7 @@ def zeros_like_params(params: EncoderParams) -> EncoderParams:
 
 
 def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(leaves(a), leaves(b)))
-
-
-def _check_same_shape(a: EncoderParams, b: EncoderParams):
-    la, lb = leaves(a), leaves(b)
-    if len(la) != len(lb) or any(x.shape != y.shape for x, y in zip(la, lb)):
-        raise ValueError("shape mismatch")
+    return a._layout.shapes == b._layout.shapes and np.array_equal(a.flat, b.flat)
 
 
 def init_params(
@@ -160,12 +205,16 @@ def backward(tape: ForwardTape, grad_embeddings: np.ndarray) -> EncoderParams:
 
     u = tape.out
     d_z = (g - np.sum(g * u, axis=1, keepdims=True) * u) / tape.norms[:, None]
-    grads: list[Layer] = []
+    layout = tape.params._layout
+    flat = np.empty(layout.size)
+    grads = layout.views(flat)
     for i in range(len(tape.pre) - 1, -1, -1):
-        grads.append((tape.inputs[i].T @ d_z, d_z.sum(axis=0)))
+        gw, gb = grads[i]
+        np.matmul(tape.inputs[i].T, d_z, out=gw)
+        d_z.sum(axis=0, out=gb)
         if i:
             d_z = (d_z @ tape.params.layers[i][0].T) * (tape.pre[i - 1] > 0.0)
-    return EncoderParams(tuple(reversed(grads)))
+    return EncoderParams._wrap(flat, layout, grads)
 
 
 def momentum_update(
@@ -174,5 +223,4 @@ def momentum_update(
     """Elementwise convex combination m*key + (1-m)*query."""
     if not 0.0 <= m <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
-    _check_same_shape(key, query)
     return map_leaves(lambda pk, pq: m * pk + (1.0 - m) * pq, key, query)

@@ -69,9 +69,19 @@ class Rng:
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         self._path = tuple(int(p) for p in _path)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self._path)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        self._generator = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        # built on the first draw: a stream used only to derive children
+        # (stream("aug", step) in training) never pays for one
+        if self._generator is None:
+            seq = np.random.SeedSequence(self.seed, spawn_key=self._path)
+            self._generator = np.random.Generator(np.random.Philox(seq))
+        return self._generator
 
     def stream(self, label: str, *indices: int) -> "Rng":
         """Derive an independent child stream for (label, *indices)."""

@@ -257,7 +257,7 @@ def train_step(
         step=state.step,
         epoch=epoch,
         loss=loss,
-        mean_positives=float(targets.sum(axis=1).mean()),
+        mean_positives=float(np.count_nonzero(targets)) / n,
         grad_norm=gnorm,
         lr=lr,
     )

@@ -316,6 +316,36 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert "train.lr" in err
 
 
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        ('{"train": {"tau": NaN}}', "train.tau"),
+        ('{"train": {"lr": 1' + "0" * 400 + "}}", "train.lr"),
+    ],
+    ids=["nan", "huge_int"],
+)
+def test_non_finite_config_exit_2_before_data_loads(tmp_path, capsys, text, needle):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    code = main(
+        ["pretrain", "--config", str(config), "--data", str(tmp_path / "none.umc"),
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert f"config error: {needle}: expected a number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_gen_data_rejects_infinite_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"dataset": {"cluster_spread": Infinity}}')
+    out = tmp_path / "data.umc"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: dataset.cluster_spread: expected a number" in err
+    assert sorted(tmp_path.iterdir()) == [spec]
+
+
 def test_corrupt_dataset_exit_2(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(SMALL_CONFIG))

@@ -104,6 +104,23 @@ def test_validation_bounds():
             config_from_dict(doc)
 
 
+def test_non_finite_json_numbers_rejected():
+    # json.load accepts NaN and ±Infinity, and an integer of any length
+    doc = json.loads(
+        '{"train": {"tau": NaN, "lr": Infinity, "weight_decay": -Infinity, '
+        '"momentum_m": 1' + "0" * 400 + '}, "probe": {"knn_temperature": NaN}}'
+    )
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(doc)
+    assert exc.value.problems == [
+        "train.tau: expected a number",
+        "train.lr: expected a number",
+        "train.weight_decay: expected a number",
+        "train.momentum_m: expected a number",
+        "probe.knn_temperature: expected a number or null",
+    ]
+
+
 def test_every_problem_is_collected():
     # one bad section must not hide the problems of the next, nor a bound
     # error the type error beside it
@@ -139,8 +156,15 @@ def test_every_problem_is_collected():
         (lambda: dataclasses.replace(DatasetSpec(), n_classes=1), "dataset.n_classes"),
         (lambda: ProbeConfig(epochs=2**40), "probe.epochs"),
         (lambda: TrainConfig(aug=AugConfig(dropout_p=1.0)), "train.aug.dropout_p"),
+        (lambda: with_train(RunConfig(), lr=float("nan")), "train.lr: must be finite"),
+        (lambda: AugConfig(noise_std=float("inf")), "train.aug.noise_std: must be"),
+        (lambda: DatasetSpec(cluster_spread=float("inf")), "dataset.cluster_spread"),
+        (lambda: ProbeConfig(knn_temperature=float("nan")), "probe.knn_temperature"),
     ],
-    ids=["lr", "tau", "epochs", "loss", "replace", "probe_epochs", "nested_aug"],
+    ids=[
+        "lr", "tau", "epochs", "loss", "replace", "probe_epochs", "nested_aug",
+        "nan_lr", "inf_noise", "inf_spread", "nan_temperature",
+    ],
 )
 def test_configs_built_in_code_are_checked(build, needle):
     # with_train, replace and constructors go through the same rules as JSON

@@ -155,7 +155,7 @@ def fd_leaf_gradients(params, x, g, h=1e-5):
                 bumped_leaves = [l.copy() for l in leaves(params)]
                 bumped_leaves[leaf_idx].reshape(-1)[j] += sign * h
                 it = iter(bumped_leaves)
-                bumped = map_leaves(lambda _: next(it), params)
+                bumped = EncoderParams(tuple(zip(it, it)))
                 flat[j] += sign * objective(bumped) / (2 * h)
         grads.append(grad)
     return grads
@@ -207,6 +207,68 @@ def test_map_leaves_and_zeros():
     doubled = map_leaves(lambda a: 2.0 * a, p)
     summed = map_leaves(lambda a, b: a + b, p, p)
     assert params_equal(doubled, summed)
+
+
+def _is_flat_tree(tree):
+    """The tree's leaves are views of its own flat vector, in leaf order."""
+    flat = tree.flat
+    ok = flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+    ok &= all(np.shares_memory(leaf, flat) for leaf in leaves(tree))
+    return ok and np.array_equal(np.concatenate([l.ravel() for l in leaves(tree)]), flat)
+
+
+def _aliases(tree, *others):
+    return any(np.shares_memory(tree.flat, o.flat) for o in others)
+
+
+def test_trees_hold_their_leaves_in_one_flat_vector():
+    p = small_params(20)
+    q = small_params(21)
+    x = Rng(22).stream("x").normal(size=(6, 7))
+    out, tape = forward(p, x)
+    built = EncoderParams(p.layers)
+    assert _is_flat_tree(p) and not _aliases(p, q)
+    results = {
+        "constructor": built,
+        "map_leaves": map_leaves(lambda a, b: a - 0.5 * b, p, q),
+        "momentum_update": momentum_update(p, q, 0.9),
+        "backward": backward(tape, out[::-1].copy()),
+        "zeros": zeros_like_params(p),
+    }
+    for name, tree in results.items():
+        assert _is_flat_tree(tree), name
+        assert not _aliases(tree, p, q), name
+    assert params_equal(built, p)
+    assert not any(np.shares_memory(l, a) for l in leaves(built) for a in leaves(p))
+    # writing through a layer view writes the flat vector
+    built.layers[0][1][0] = 3.0
+    assert built.flat[7 * 10] == 3.0
+
+
+def test_map_leaves_is_one_elementwise_call_on_flat_vectors():
+    p, q = small_params(23), small_params(24)
+    seen = []
+
+    def fn(a, b):
+        seen.append((a, b))
+        return a * b
+
+    out = map_leaves(fn, p, q)
+    assert len(seen) == 1 and seen[0][0] is p.flat and seen[0][1] is q.flat
+    for got, a, b in zip(leaves(out), leaves(p), leaves(q)):
+        assert np.array_equal(got, a * b)
+
+
+def test_trees_of_different_shape_are_rejected():
+    p = small_params(25)
+    narrow = small_params(25, trunk=(10, 5))
+    for update in (
+        lambda: momentum_update(p, narrow, 0.5),
+        lambda: map_leaves(np.add, p, narrow),
+    ):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            update()
+    assert not params_equal(p, narrow)
 
 
 def test_params_equal_detects_change():

@@ -159,6 +159,8 @@ def test_rng_derivation_insensitive_to_consumption():
 def test_rng_negative_index_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         Rng(0).stream("aug", -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        Rng(-1)  # at construction, not at the first draw
 
 
 def test_rng_unit_rows_and_permutation():

@@ -1,6 +1,7 @@
 """Dataset synthesis, label masking, augmentation, and the training loop."""
 
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -186,6 +187,8 @@ def test_init_state(small_cfg):
     assert state.step == 0
     assert params_equal(state.params_q, state.params_k)
     assert all(np.all(l == 0) for l in leaves(state.velocity))
+    trees = (state.params_q, state.params_k, state.velocity)
+    assert not any(np.shares_memory(a.flat, b.flat) for a, b in combinations(trees, 2))
     assert state.queue.capacity == small_cfg.train.queue_size
     assert np.all(state.queue.labels == UNLABELED)
 
@@ -217,6 +220,24 @@ def test_train_step_updates_state(small_cfg, small_dataset):
     assert metrics.lr == 0.05
     assert np.isfinite(metrics.loss)
     assert metrics.mean_positives >= 1.0
+
+
+@pytest.mark.parametrize("loss", ["unicon", "infonce"])
+def test_train_step_builds_new_trees_and_plain_metrics(small_cfg, small_dataset, loss):
+    train_cfg = with_train(small_cfg, loss=loss).train
+    state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
+    x = small_dataset.train_x[: train_cfg.batch_size]
+    labels = small_dataset.train_y[: train_cfg.batch_size]
+    new_state, metrics = train_step(
+        state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0)
+    )
+    old = (state.params_q, state.params_k, state.velocity)
+    new = (new_state.params_q, new_state.params_k, new_state.velocity)
+    for a, b in combinations(old + new, 2):
+        assert not np.shares_memory(a.flat, b.flat)
+    # metrics.csv writes repr() of each field: a numpy scalar would leak in
+    for field in dataclasses.fields(metrics):
+        assert type(getattr(metrics, field.name)) in (int, float), field.name
 
 
 def test_train_step_key_encoder_trails_query(small_cfg, small_dataset):

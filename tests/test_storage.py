@@ -3,6 +3,7 @@
 import json
 import struct
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -176,6 +177,12 @@ def test_checkpoint_roundtrip(tmp_path, small_cfg, small_dataset):
     assert params_equal(loaded_state.params_q, state.params_q)
     assert params_equal(loaded_state.params_k, state.params_k)
     assert params_equal(loaded_state.velocity, state.velocity)
+    trees = (loaded_state.params_q, loaded_state.params_k, loaded_state.velocity)
+    saved = (state.params_q, state.params_k, state.velocity)
+    for tree, before in zip(trees, saved):
+        assert np.array_equal(tree.flat, before.flat)
+    for a, b in combinations(trees, 2):
+        assert not np.shares_memory(a.flat, b.flat)
     assert np.array_equal(loaded_state.queue.features, state.queue.features)
     assert np.array_equal(loaded_state.queue.labels, state.queue.labels)
     assert loaded_state.queue.cursor == state.queue.cursor
