@@ -100,11 +100,11 @@ class ModelConfig(_Checked):
 
 @dataclass(frozen=True)
 class AugConfig(_Checked):
+    _where = "train.aug"
+
     # Deliberately gentle views. The label-ratio effect lives here: with weak
     # augmentation the instance-matching task saturates early, so unlabeled
     # training plateaus while label-driven positives keep supplying signal.
-    _where = "train.aug"
-
     noise_std: float = 0.15
     dropout_p: float = 0.0
 

@@ -177,6 +177,33 @@ def test_backward_matches_finite_differences(depth):
         assert float(np.abs(a - n).max()) / scale <= 1e-6
 
 
+def leafwise_backward(tape, g):
+    """backward as it was before gradients went into one flat vector: a
+    fresh product and sum per layer. The reference for bit-identity."""
+    u = tape.out
+    d_z = (g - np.sum(g * u, axis=1, keepdims=True) * u) / tape.norms[:, None]
+    grads = []
+    for i in range(len(tape.pre) - 1, -1, -1):
+        grads.append((tape.inputs[i].T @ d_z, d_z.sum(axis=0)))
+        if i:
+            d_z = (d_z @ tape.params.layers[i][0].T) * (tape.pre[i - 1] > 0.0)
+    return [a for layer in reversed(grads) for a in layer]
+
+
+def test_backward_into_flat_vector_is_bit_identical_to_leafwise():
+    # the default model and batch shapes, where BLAS picks its real kernels
+    p = init_params(20, (64, 32), 32, 16, Rng(30).stream("init"))
+    root = Rng(31)
+    x = root.stream("x").normal(size=(64, 20))
+    g = root.stream("g").normal(size=(64, 16))
+    _, tape = forward(p, x)
+    got = leaves(backward(tape, g))
+    want = leafwise_backward(tape, g)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_backward_grad_shape_checked():
     p = small_params(8)
     x = Rng(9).stream("x").normal(size=(3, 7))
