@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, pretrain, probe, losscheck, compare. Exit codes are
-part of the contract: 0 success, 2 usage or configuration problems, 3
-numeric divergence during training (with whatever metrics were produced up
-to that point left on disk).
+part of the contract: 0 success, 1 a failed losscheck, 2 usage,
+configuration or storage problems, 3 numeric divergence during training
+(with whatever metrics were produced up to that point left on disk).
 """
 
 from __future__ import annotations
@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc} (partial metrics retained)", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a backstop: configs are bounded by a budget
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,11 +24,23 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+# The most elements one array of a run may hold (512 MiB of float64): the
+# data, one parameter tree, the queue and a step's logits. A config past it
+# is refused before anything is allocated.
+ELEMENT_BUDGET = 2**26
+
+
+def _budget(where: str, what: str, n: int) -> list[str]:
+    if n <= ELEMENT_BUDGET:
+        return []
+    return [f"{where}: {what} exceeds the budget of {ELEMENT_BUDGET} elements"]
+
+
 class _Checked:
-    """A config section checks its own rules when it is built, so a section
-    from JSON, `with_train`, `dataclasses.replace` or a constructor call is
-    valid, and no caller re-checks it. `_where` names the section in
-    messages."""
+    """A config section, and a whole config, checks its own rules when it is
+    built, so one from JSON, `with_train`, `dataclasses.replace` or a
+    constructor call is valid, and no caller re-checks it. `_where` names
+    the section in messages."""
 
     _where: ClassVar[str]
 
@@ -72,6 +84,9 @@ class DatasetSpec(_Checked):
             problems.append("dataset.mean_radius: must be > 0")
         if self.seed < 0:
             problems.append("dataset.seed: must be >= 0")
+        for name, n in (("n_train", self.n_train), ("n_test", self.n_test)):
+            size = n * self.input_dim
+            problems += _budget(f"dataset.{name}", f"{name} * input_dim", size)
         return problems
 
 
@@ -163,6 +178,8 @@ class TrainConfig(_Checked):
             )
         if self.seed < 0:
             problems.append("train.seed: must be >= 0")
+        logits = self.batch_size * (1 + self.queue_size)
+        problems += _budget("train.batch_size", "batch_size * (1 + queue_size)", logits)
         return problems
 
 
@@ -193,11 +210,23 @@ class ProbeConfig(_Checked):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Checked):
+    _where = "config"
+
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
+
+    def validate(self) -> list[str]:
+        """The budget rules that span sections."""
+        m = self.model
+        dims = (self.dataset.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim)
+        n_params = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+        queue = self.train.queue_size * m.embed_dim
+        return _budget("model", "the parameter count", n_params) + _budget(
+            "train.queue_size", "queue_size * embed_dim", queue
+        )
 
 
 def _is_number(v) -> bool:

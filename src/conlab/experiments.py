@@ -19,9 +19,8 @@ from .probes import run_probes
 
 @dataclass(frozen=True)
 class CompareCell:
-    loss: str
-    alpha: float
-    seeds: tuple[int, ...]
+    """Per-seed results of the grid's (loss, alpha) key, in its seed order."""
+
     linear: tuple[float, ...]  # per-seed linear-probe top-1
     knn: tuple[float, ...]  # per-seed kNN top-1
 
@@ -85,13 +84,7 @@ def compare_grid(
                 knn.append(res.knn_top1)
                 if progress is not None:
                     progress(kind, alpha, seed, res)
-            cells[(kind, alpha)] = CompareCell(
-                loss=kind,
-                alpha=alpha,
-                seeds=seeds,
-                linear=tuple(lin),
-                knn=tuple(knn),
-            )
+            cells[(kind, alpha)] = CompareCell(linear=tuple(lin), knn=tuple(knn))
     return CompareResult(losses=losses, alphas=alphas, seeds=seeds, cells=cells)
 
 
@@ -129,15 +122,14 @@ def compare_to_dict(result: CompareResult) -> dict:
         "seeds": list(result.seeds),
         "cells": [
             {
-                "loss": cell.loss,
-                "alpha": cell.alpha,
+                "loss": kind,
+                "alpha": alpha,
                 "linear_top1": list(cell.linear),
                 "knn_top1": list(cell.knn),
                 "mean_linear_top1": cell.mean_linear,
                 "mean_knn_top1": cell.mean_knn,
             }
-            for key in sorted(result.cells)
-            for cell in [result.cells[key]]
+            for (kind, alpha), cell in sorted(result.cells.items())
         ],
     }
 

@@ -2,9 +2,11 @@
 criteria 1-6.
 
 Each check samples a batch of rows from an `Rng`, evaluates it through
-`loss_batch` with no per-row loop, and returns one row per (loss, property):
-finite-difference gradient agreement, single-positive collapse, shift
-invariance, large-logit stability, the max bounds, and the triplet relation.
+`loss_batch` as one batch (the finite-difference check makes one more call
+per row, for that row's perturbed copies), and returns one row per (loss,
+property): finite-difference gradient agreement, single-positive collapse,
+shift invariance, large-logit stability, the max bounds, and the triplet
+relation.
 The naive-overflow row evaluates a deliberately naive direct-formula
 implementation to demonstrate *why* the shipped evaluation path goes through
 log-sum-exp and softplus: the naive one overflows on the same inputs.
@@ -72,21 +74,20 @@ def _finite(kind: str, logits: np.ndarray, masks: np.ndarray) -> bool:
 
 def check_grad_fd(kind: str, rng: Rng, n_rows: int, width: int) -> CheckResult:
     """Analytic gradients against central differences; the error of a row is
-    max |grad - fd| relative to max |grad|."""
+    max |grad - fd| relative to max |grad|. Each row's 2 * width perturbed
+    copies are one `loss_batch` call, so memory does not grow with rows ×
+    width²; a row's values do not depend on the rows batched with it."""
     logits = 2.0 * rng.normal(size=(n_rows, width))
     masks = _masks(rng, n_rows, width, kind)
+    _, grads = loss_batch(kind, logits, masks)
     cols = np.arange(width)
-    pert = np.repeat(logits[:, None, :], 2 * width, axis=1)  # (n, 2w, w)
-    pert[:, 2 * cols, cols] += FD_STEP
-    pert[:, 2 * cols + 1, cols] -= FD_STEP
-    values, grads = loss_batch(
-        kind,
-        np.concatenate([logits, pert.reshape(-1, width)]),
-        np.concatenate([masks, np.repeat(masks, 2 * width, axis=0)]),
-    )
-    pert_values = values[n_rows:].reshape(n_rows, 2 * width)
-    fd = (pert_values[:, 0::2] - pert_values[:, 1::2]) / (2.0 * FD_STEP)
-    grads = grads[:n_rows]
+    fd = np.empty((n_rows, width))
+    for i in range(n_rows):
+        pert = np.repeat(logits[i : i + 1], 2 * width, axis=0)  # (2w, w)
+        pert[2 * cols, cols] += FD_STEP
+        pert[2 * cols + 1, cols] -= FD_STEP
+        values, _ = loss_batch(kind, pert, np.repeat(masks[i : i + 1], 2 * width, 0))
+        fd[i] = (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
     num = np.max(np.abs(grads - fd), axis=1)
     den = np.maximum(np.max(np.abs(grads), axis=1), 1e-12)
     return CheckResult(kind, "grad_fd", n_rows, float(np.max(num / den)), 1e-6)

@@ -144,13 +144,12 @@ def init_params(
 
 @dataclass
 class ForwardTape:
-    """What backward needs: the parameters, each layer's input and
-    pre-activation (the last one is the raw embedding), its row norms and
-    the unit-norm embeddings."""
+    """What backward needs: the parameters, each layer's input (after the
+    first, a ReLU output, whose positive entries are that ReLU's mask), the
+    raw embeddings' row norms and the unit-norm embeddings."""
 
     params: EncoderParams
     inputs: list[np.ndarray]
-    pre: list[np.ndarray]
     norms: np.ndarray
     out: np.ndarray
 
@@ -179,18 +178,16 @@ def forward(params: EncoderParams, x: np.ndarray):
     Returns (embeddings, tape); embeddings rows are unit norm. Raises
     ``DegenerateVectorError`` if a raw embedding's norm is <= 1e-12.
     """
-    a = _as_inputs(params, x)
-    inputs, pre = [], []
-    for w, b in params.layers:
-        if pre:
-            a = np.maximum(pre[-1], 0.0)
-        inputs.append(a)
-        pre.append(a @ w + b)
-    norms = np.linalg.norm(pre[-1], axis=1)
+    inputs = [_as_inputs(params, x)]
+    for w, b in params.layers[:-1]:
+        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+    w, b = params.layers[-1]
+    raw = inputs[-1] @ w + b
+    norms = np.linalg.norm(raw, axis=1)
     if np.any(norms <= DEGENERATE_NORM):
         raise DegenerateVectorError("degenerate vector")
-    out = pre[-1] / norms[:, None]
-    return out, ForwardTape(params, inputs, pre, norms, out)
+    out = raw / norms[:, None]
+    return out, ForwardTape(params, inputs, norms, out)
 
 
 def backward(tape: ForwardTape, grad_embeddings: np.ndarray) -> EncoderParams:
@@ -208,12 +205,12 @@ def backward(tape: ForwardTape, grad_embeddings: np.ndarray) -> EncoderParams:
     layout = tape.params._layout
     flat = np.empty(layout.size)
     grads = layout.views(flat)
-    for i in range(len(tape.pre) - 1, -1, -1):
+    for i in range(len(tape.inputs) - 1, -1, -1):
         gw, gb = grads[i]
         np.matmul(tape.inputs[i].T, d_z, out=gw)
         d_z.sum(axis=0, out=gb)
         if i:
-            d_z = (d_z @ tape.params.layers[i][0].T) * (tape.pre[i - 1] > 0.0)
+            d_z = (d_z @ tape.params.layers[i][0].T) * (tape.inputs[i] > 0.0)
     return EncoderParams._wrap(flat, layout, grads)
 
 

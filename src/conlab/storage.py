@@ -185,16 +185,8 @@ def _dataset_layout(spec):
     ]
 
 
-def save_dataset(path, dataset: Dataset) -> None:
-    layout = _dataset_layout(dataset.spec)
-    arrays = {name: getattr(dataset, name) for name, _, _ in layout}
-    _check_arrays("dataset", arrays, layout)
-    header = {"kind": "dataset", "spec": asdict(dataset.spec)}
-    write_container(path, header, list(arrays.items()))
-
-
-def load_dataset(path) -> Dataset:
-    header, arrays = read_container(path)
+def _decode_dataset(header: dict, arrays: dict) -> Dataset:
+    """The Dataset a file's header and arrays describe, if they obey every rule."""
     if header.get("kind") != "dataset":
         raise StorageError(f"not a dataset file (kind={header.get('kind')!r})")
     if "spec" not in header:
@@ -209,6 +201,19 @@ def load_dataset(path) -> Dataset:
                 f"dataset array {name!r} holds labels outside [0, {spec.n_classes})"
             )
     return Dataset(spec=spec, **{name: arrays[name] for name, _, _ in layout})
+
+
+def save_dataset(path, dataset: Dataset) -> None:
+    """Writes only what ``load_dataset`` would accept."""
+    header = {"kind": "dataset", "spec": asdict(dataset.spec)}
+    layout = _dataset_layout(dataset.spec)
+    arrays = {name: getattr(dataset, name) for name, _, _ in layout}
+    _decode_dataset(header, arrays)
+    write_container(path, header, list(arrays.items()))
+
+
+def load_dataset(path) -> Dataset:
+    return _decode_dataset(*read_container(path))
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +236,12 @@ def _checkpoint_layout(cfg: RunConfig):
     return layout
 
 
-def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
-    """All training state in one container; the rng needs no raw state —
-    streams are derived from (config seed, step), both recorded here. A
-    state that does not fit the layout ``cfg`` implies is never written."""
-    layout = _checkpoint_layout(cfg)
-    trees = (state.params_q, state.params_k, state.velocity)
-    values = [a for t in trees for a in leaves(t)]
-    values += [state.queue.features, state.queue.labels]
-    # a state with fewer arrays lacks the last names; one with more puts a
-    # float leaf where queue.labels (i8) belongs: either way the check fails
-    arrays = {name: a for (name, _, _), a in zip(layout, values)}
-    _check_arrays("checkpoint", arrays, layout)
-    header = {
-        "kind": "checkpoint",
-        "config": config_to_dict(cfg),
-        "step": state.step,
-        "queue": {"cursor": state.queue.cursor},
-    }
-    write_container(path, header, list(arrays.items()))
-
-
-def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
-    """The arrays must have the layout the stored config implies, the step
-    must lie within that config's run, and the queue must keep its own
-    rules: unit-norm rows (to ``push_batch``'s tolerance) and labels in
-    [UNLABELED, n_classes). Header keys other than config, step and queue
-    cursor are ignored."""
-    header, arrays = read_container(path)
+def _decode_checkpoint(header: dict, arrays: dict) -> tuple[TrainState, RunConfig]:
+    """The (state, config) of a file whose arrays have the layout its config
+    implies, whose step lies within that config's run, and whose queue keeps
+    its rules: unit-norm rows (to ``push_batch``'s tolerance), labels in
+    [UNLABELED, n_classes) and the cursor ``step`` full batches reach. Header
+    keys other than config, step and queue cursor are ignored."""
     if header.get("kind") != "checkpoint":
         raise StorageError(f"not a checkpoint file (kind={header.get('kind')!r})")
     try:
@@ -272,11 +255,11 @@ def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
         raise StorageError(
             f"checkpoint step must be an integer in [0, {total}], got {step!r}"
         )
-    capacity = cfg.train.queue_size
-    cursor = queue.get("cursor") if isinstance(queue, dict) else None
-    if not (_is_count(cursor) and cursor < capacity):
+    cursor = step * cfg.train.batch_size % cfg.train.queue_size
+    stored = queue.get("cursor") if isinstance(queue, dict) else None
+    if not (_is_count(stored) and stored == cursor):
         raise StorageError(
-            f"checkpoint queue cursor must be an integer in [0, {capacity}), "
+            f"checkpoint queue cursor must be {cursor} at step {step}, "
             f"got {queue!r}"
         )
     layout = _checkpoint_layout(cfg)
@@ -301,6 +284,31 @@ def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
         step=step,
     )
     return state, cfg
+
+
+def save_checkpoint(path, state: TrainState, cfg: RunConfig) -> None:
+    """All training state in one container; the rng needs no raw state —
+    streams are derived from (config seed, step), both recorded here. Writes
+    only what ``load_checkpoint`` would accept."""
+    layout = _checkpoint_layout(cfg)
+    trees = (state.params_q, state.params_k, state.velocity)
+    values = [a for t in trees for a in leaves(t)]
+    values += [state.queue.features, state.queue.labels]
+    # a state with fewer arrays lacks the last names; one with more puts a
+    # float leaf where queue.labels (i8) belongs: either way the check fails
+    arrays = {name: a for (name, _, _), a in zip(layout, values)}
+    header = {
+        "kind": "checkpoint",
+        "config": config_to_dict(cfg),
+        "step": state.step,
+        "queue": {"cursor": state.queue.cursor},
+    }
+    _decode_checkpoint(header, arrays)
+    write_container(path, header, list(arrays.items()))
+
+
+def load_checkpoint(path) -> tuple[TrainState, RunConfig]:
+    return _decode_checkpoint(*read_container(path))
 
 
 # ---------------------------------------------------------------------------

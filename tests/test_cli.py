@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conlab import cli
 from conlab.cli import main
 from conlab.config import config_digest, config_to_dict, load_config
 from conlab.model import params_equal
@@ -336,6 +337,52 @@ def test_non_finite_config_exit_2_before_data_loads(tmp_path, capsys, text, need
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        ({"model": {"trunk": [1000000000000]}}, "model: the parameter count"),
+        ({"dataset": {"n_train": 10**9}}, "dataset.n_train: n_train * input_dim"),
+    ],
+    ids=["trunk", "n_train"],
+)
+def test_over_budget_config_exit_2_before_data_loads(tmp_path, capsys, doc, needle):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(doc))
+    code = main(
+        ["pretrain", "--config", str(config), "--data", str(tmp_path / "none.umc"),
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert f"config error: {needle} exceeds the budget" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_checkpoint_with_over_budget_config_exit_2(workspace, capsys):
+    tmp_path, config, data = workspace
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    _edit_header(ckpt, lambda h: h["config"]["model"].update(embed_dim=2**40))
+    code = main(
+        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(tmp_path / "p.json")]
+    )
+    assert code == 2
+    assert "config error: train.queue_size:" in capsys.readouterr().err
+
+
+def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
+    # the backstop for an allocation the config budget does not foresee
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_memory)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SMALL_CONFIG["dataset"]))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
+    assert sorted(tmp_path.iterdir()) == [spec]
+
+
 def test_gen_data_rejects_infinite_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text('{"dataset": {"cluster_spread": Infinity}}')
@@ -455,8 +502,9 @@ BAD_CHECKPOINT_HEADERS = {
     "no_config": lambda h: h.pop("config"),
     "trunk_w_transposed": lambda h: _entry(h, "q.trunk.0.w")["shape"].reverse(),
     "labels_as_f8": lambda h: _entry(h, "queue.labels").update(dtype="f8"),
-    # a layout of 2**40-wide arrays must be checked without allocating it
-    "embed_dim_huge": lambda h: h["config"]["model"].update(embed_dim=2**40),
+    # a layout of 2**20-wide arrays, within the element budget, must be
+    # checked without allocating it
+    "embed_dim_huge": lambda h: h["config"]["model"].update(embed_dim=2**20),
 }
 
 
@@ -472,6 +520,24 @@ def test_bad_checkpoint_header_exit_2(workspace, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_resume_from_checkpoint_with_shifted_cursor_exit_2(workspace, capsys):
+    # each step pushes one batch of 24 keys into the 48-row queue, so at
+    # step 7 the cursor is 7 * 24 % 48 = 24; resuming at 0 would overwrite
+    # the newest keys and leave the run unlike an uninterrupted one
+    tmp_path, config, data = workspace
+    base = ["pretrain", "--config", str(config), "--data", str(data),
+            "--out-dir", str(tmp_path / "run")]
+    assert main(base + ["--max-steps", "7"]) == 0
+    ckpt = tmp_path / "step7.umc"
+    shutil.copy(tmp_path / "run" / "checkpoint.umc", ckpt)
+    assert read_container(ckpt)[0]["queue"] == {"cursor": 24}
+    _edit_header(ckpt, lambda h: h["queue"].update(cursor=0))
+    assert main(base + ["--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "error: checkpoint queue cursor must be 24 at step 7" in err
+    assert load_checkpoint(tmp_path / "run" / "checkpoint.umc")[0].step == 7
 
 
 def test_checkpoint_asking_for_endless_probe_exit_2(workspace, capsys):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conlab.config import (
+    ELEMENT_BUDGET,
     AugConfig,
     ConfigError,
     DatasetSpec,
@@ -25,7 +26,7 @@ from conlab.config import (
 
 def test_defaults_are_valid():
     cfg = RunConfig()
-    for section in (cfg.dataset, cfg.model, cfg.train, cfg.train.aug, cfg.probe):
+    for section in (cfg, cfg.dataset, cfg.model, cfg.train, cfg.train.aug, cfg.probe):
         assert section.validate() == []
 
 
@@ -170,6 +171,30 @@ def test_configs_built_in_code_are_checked(build, needle):
     # with_train, replace and constructors go through the same rules as JSON
     with pytest.raises(ConfigError, match=needle):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: RunConfig(model=ModelConfig(trunk=(10**12,))), "model: the parameter"),
+        (lambda: RunConfig(model=ModelConfig(embed_dim=2**20)), "train.queue_size: "),
+        (lambda: TrainConfig(batch_size=2**12, queue_size=2**14), "train.batch_size: "),
+        (lambda: DatasetSpec(n_train=2**24 + 1, input_dim=4), "dataset.n_train: "),
+        (lambda: DatasetSpec(n_test=2**24 + 1, input_dim=4), "dataset.n_test: "),
+    ],
+    ids=["parameters", "queue", "logits", "train_data", "test_data"],
+)
+def test_sizes_over_the_element_budget_rejected(build, needle):
+    # configs only: an array of such a size is never allocated here
+    with pytest.raises(ConfigError, match=f"{needle}.* exceeds the budget of"):
+        build()
+
+
+def test_sizes_at_the_element_budget_allowed():
+    assert ELEMENT_BUDGET == 2**26
+    DatasetSpec(n_train=2**24, n_test=2**24, input_dim=4)
+    TrainConfig(batch_size=2**12, queue_size=2**14 - 1)  # 2**12 * 2**14 logits
+    RunConfig(model=ModelConfig(embed_dim=2**17))  # 512 * 2**17 queue elements
 
 
 def test_epochs_zero_is_allowed():

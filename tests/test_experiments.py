@@ -29,7 +29,7 @@ def test_grid_forces_alpha_zero_column(tiny_grid):
 
 def test_grid_cells_hold_per_seed_results(tiny_grid):
     cell = tiny_grid.cells[("unicon", 1.0)]
-    assert cell.seeds == (0, 1)
+    assert tiny_grid.seeds == (0, 1)
     assert len(cell.linear) == 2 and len(cell.knn) == 2
     assert all(0.0 <= v <= 1.0 for v in cell.linear + cell.knn)
     assert cell.mean_linear == pytest.approx(sum(cell.linear) / 2)

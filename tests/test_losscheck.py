@@ -1,12 +1,16 @@
 """The self-contained loss verification suite (also behind `conlab losscheck`)."""
 
+import tracemalloc
+
 import numpy as np
 
 from conlab.losscheck import (
+    check_grad_fd,
     format_check_table,
     naive_unicon_values,
     run_losscheck,
 )
+from conlab.numerics import Rng
 
 
 def test_all_checks_pass_and_cover_every_loss():
@@ -67,3 +71,18 @@ def test_format_table_mentions_every_row():
     assert "grad_fd" in table and "naive_overflow" in table
     assert "0 failed" in table
     assert len(table.splitlines()) >= len(results)
+
+
+def test_grad_fd_memory_does_not_grow_with_rows_times_width_squared():
+    # 200 rows of width 32 make a (rows, 2 * width, width) perturbation
+    # tensor of 3.3 MB; one row's share is 16 kB
+    rows, width = 200, 32
+    check_grad_fd("unicon", Rng(0).stream("warm"), 2, width)  # one-time caches
+    tracemalloc.start()
+    try:
+        result = check_grad_fd("unicon", Rng(0).stream("fd"), rows, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 1_000_000

@@ -83,12 +83,13 @@ def test_forward_unit_norm_output():
 
 
 def test_forward_normalizes_along_raw_embedding():
-    # each output row is the raw embedding (last pre-activation) over its norm
+    # each output row is the raw embedding (last layer's output) over its norm
     p = small_params(1)
     x = Rng(2).stream("x").normal(size=(40, 7)) * 10.0
     out, tape = forward(p, x)
+    w, b = p.layers[-1]
     assert np.all(tape.norms > 0.0)
-    assert np.allclose(out * tape.norms[:, None], tape.pre[-1], atol=1e-9)
+    assert np.allclose(out * tape.norms[:, None], tape.inputs[-1] @ w + b, atol=1e-9)
 
 
 def _with_last_bias(params, bias):
@@ -183,10 +184,10 @@ def leafwise_backward(tape, g):
     u = tape.out
     d_z = (g - np.sum(g * u, axis=1, keepdims=True) * u) / tape.norms[:, None]
     grads = []
-    for i in range(len(tape.pre) - 1, -1, -1):
+    for i in range(len(tape.inputs) - 1, -1, -1):
         grads.append((tape.inputs[i].T @ d_z, d_z.sum(axis=0)))
         if i:
-            d_z = (d_z @ tape.params.layers[i][0].T) * (tape.pre[i - 1] > 0.0)
+            d_z = (d_z @ tape.params.layers[i][0].T) * (tape.inputs[i] > 0.0)
     return [a for layer in reversed(grads) for a in layer]
 
 

@@ -263,6 +263,41 @@ def test_save_dataset_refuses_arrays_that_do_not_fit_spec(tmp_path, small_datase
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, value", [("train_y", 9), ("test_y", -1)])
+def test_save_dataset_refuses_labels_outside_n_classes(
+    tmp_path, small_dataset, name, value
+):
+    # saving runs the loader's checks, so it never writes a file load refuses
+    labels = getattr(small_dataset, name).copy()
+    labels[0] = value
+    with pytest.raises(StorageError, match=rf"'{name}' holds labels outside \[0, 3\)"):
+        save_dataset(tmp_path / "d.umc", replace(small_dataset, **{name: labels}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_checkpoint_refuses_state_past_the_last_step(
+    tmp_path, small_cfg, small_dataset
+):
+    # 12 steps of small_cfg's run, saved under a 1-epoch (10-step) config
+    state = pretrain(small_dataset, small_cfg, max_steps=12)
+    one_epoch = with_train(small_cfg, epochs=1)
+    with pytest.raises(StorageError, match=r"step must be an integer in \[0, 10\]"):
+        save_checkpoint(tmp_path / "ck.umc", state, one_epoch)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_checkpoint_refuses_cursor_the_step_does_not_give(
+    tmp_path, small_cfg, small_dataset
+):
+    # 5 pushes of 24 keys into a 48-row queue leave the cursor at 24
+    state = pretrain(small_dataset, small_cfg, max_steps=5)
+    assert state.queue.cursor == 24
+    shifted = replace(state, queue=replace(state.queue, cursor=0))
+    with pytest.raises(StorageError, match="queue cursor must be 24 at step 5"):
+        save_checkpoint(tmp_path / "ck.umc", shifted, small_cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # metrics CSV
 
