@@ -22,6 +22,7 @@ from .config import (
     config_to_dict,
     load_config,
     run_id,
+    spec_from_dict,
 )
 from .experiments import (
     compare_grid,
@@ -55,7 +56,7 @@ def _load_dataset_spec(path):
         raise ConfigError(["spec: expected a JSON object"])
     if set(doc) <= {f.name for f in fields(RunConfig)}:
         return config_from_dict(doc).dataset
-    return config_from_dict({"dataset": doc}).dataset
+    return spec_from_dict(doc)
 
 
 def _check_dataset_matches(cfg, dataset):

@@ -211,8 +211,6 @@ class ProbeConfig(_Checked):
 
 @dataclass(frozen=True)
 class RunConfig(_Checked):
-    _where = "config"
-
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -306,6 +304,16 @@ def config_from_dict(data: dict) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(**sections)
+
+
+def spec_from_dict(data) -> DatasetSpec:
+    """Parse and validate a dataset section on its own. The rules that span
+    sections are left out: a bare spec comes without the model it will feed."""
+    problems: list[str] = []
+    spec = _section_from_dict(DatasetSpec, data, "dataset", problems)
+    if problems:
+        raise ConfigError(problems)
+    return spec
 
 
 def load_config(path) -> RunConfig:

@@ -30,6 +30,7 @@ from .config import (
     config_from_dict,
     config_to_dict,
     run_id,
+    spec_from_dict,
 )
 from .model import EncoderParams, leaves
 from .pipeline import Dataset, StepMetrics, TrainState, steps_per_epoch
@@ -191,7 +192,7 @@ def _decode_dataset(header: dict, arrays: dict) -> Dataset:
         raise StorageError(f"not a dataset file (kind={header.get('kind')!r})")
     if "spec" not in header:
         raise StorageError("dataset file lacks 'spec'")
-    spec = config_from_dict({"dataset": header["spec"]}).dataset
+    spec = spec_from_dict(header["spec"])
     layout = _dataset_layout(spec)
     _check_arrays("dataset", arrays, layout)
     for name in ("train_y", "test_y"):

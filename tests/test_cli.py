@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,6 +384,22 @@ def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
     assert sorted(tmp_path.iterdir()) == [spec]
 
 
+def test_gen_data_spec_is_not_bounded_by_the_default_model(tmp_path, monkeypatch):
+    # 2**20 inputs would give the default model (trunk 64, 32) more
+    # parameters than the budget allows, but a bare spec has no model
+    seen = []
+
+    def record(spec):
+        seen.append(spec)
+        raise MemoryError("not generated here")
+
+    monkeypatch.setattr(cli, "generate_dataset", record)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"input_dim": 2**20, "n_train": 64, "n_test": 64}))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    assert [s.input_dim for s in seen] == [2**20]
+
+
 def test_gen_data_rejects_infinite_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text('{"dataset": {"cluster_spread": Infinity}}')
@@ -502,8 +519,8 @@ BAD_CHECKPOINT_HEADERS = {
     "no_config": lambda h: h.pop("config"),
     "trunk_w_transposed": lambda h: _entry(h, "q.trunk.0.w")["shape"].reverse(),
     "labels_as_f8": lambda h: _entry(h, "queue.labels").update(dtype="f8"),
-    # a layout of 2**20-wide arrays, within the element budget, must be
-    # checked without allocating it
+    # a layout of 2**20-wide arrays (about 0.5 GB), within the element
+    # budget: the peak memory bound below shows it is checked, not allocated
     "embed_dim_huge": lambda h: h["config"]["model"].update(embed_dim=2**20),
 }
 
@@ -513,13 +530,20 @@ def test_bad_checkpoint_header_exit_2(workspace, capsys, case):
     tmp_path, config, data = workspace
     ckpt = _fresh_checkpoint(tmp_path, config)
     _edit_header(ckpt, BAD_CHECKPOINT_HEADERS[case])
-    code = main(
-        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
-         "--out", str(tmp_path / "p.json")]
-    )
+    tracemalloc.start()
+    try:
+        code = main(
+            ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+             "--out", str(tmp_path / "p.json")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
+    assert peak < 50 * 2**20
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "out of memory" not in err
 
 
 def test_resume_from_checkpoint_with_shifted_cursor_exit_2(workspace, capsys):

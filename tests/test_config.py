@@ -20,6 +20,7 @@ from conlab.config import (
     config_to_dict,
     load_config,
     run_id,
+    spec_from_dict,
     with_train,
 )
 
@@ -195,6 +196,21 @@ def test_sizes_at_the_element_budget_allowed():
     DatasetSpec(n_train=2**24, n_test=2**24, input_dim=4)
     TrainConfig(batch_size=2**12, queue_size=2**14 - 1)  # 2**12 * 2**14 logits
     RunConfig(model=ModelConfig(embed_dim=2**17))  # 512 * 2**17 queue elements
+
+
+def test_bare_spec_skips_the_rules_that_span_sections():
+    doc = {"input_dim": 2**20, "n_train": 64, "n_test": 64}
+    with pytest.raises(ConfigError, match="model: the parameter count"):
+        config_from_dict({"dataset": doc})
+    assert spec_from_dict(doc) == DatasetSpec(input_dim=2**20, n_train=64, n_test=64)
+    with pytest.raises(ConfigError) as info:
+        spec_from_dict({"n_train": 2**30, "seed": "x", "typo": 1})
+    # every problem is collected, the section's own budget rule included
+    assert info.value.problems == [
+        "dataset.seed: expected an integer",
+        "dataset.typo: unknown key",
+        f"dataset.n_train: n_train * input_dim exceeds the budget of {2**26} elements",
+    ]
 
 
 def test_epochs_zero_is_allowed():

@@ -163,6 +163,16 @@ def test_dataset_kind_enforced(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_spec_is_not_bounded_by_the_default_model(tmp_path):
+    # a valid spec of 2**20 inputs, which the default model's parameter
+    # count could not take, is checked alone: the file fails on its arrays
+    path = tmp_path / "d.umc"
+    spec = {"input_dim": 2**20, "n_train": 64, "n_test": 64}
+    write_container(path, {"kind": "dataset", "spec": spec}, [])
+    with pytest.raises(StorageError, match="dataset file lacks 'means'"):
+        load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
