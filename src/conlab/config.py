@@ -25,8 +25,9 @@ class ConfigError(ValueError):
 
 
 # The most elements one array of a run may hold (512 MiB of float64): the
-# data, one parameter tree, the queue and a step's logits. A config past it
-# is refused before anything is allocated.
+# data, one parameter tree, the queue, a step's logits and activations, and
+# the probes' features. A config past it is refused before anything is
+# allocated.
 ELEMENT_BUDGET = 2**26
 
 
@@ -217,13 +218,22 @@ class RunConfig(_Checked):
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def validate(self) -> list[str]:
-        """The budget rules that span sections."""
-        m = self.model
-        dims = (self.dataset.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim)
+        """The budget rules that span sections: parameters, the queue, and
+        activations (the probes' trunk features for the larger split, and a
+        training batch at the widest layer)."""
+        d, m = self.dataset, self.model
+        dims = (d.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim)
         n_params = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
         queue = self.train.queue_size * m.embed_dim
-        return _budget("model", "the parameter count", n_params) + _budget(
-            "train.queue_size", "queue_size * embed_dim", queue
+        features = max(d.n_train, d.n_test) * max(m.trunk)
+        batch = self.train.batch_size * max(dims)
+        return (
+            _budget("model", "the parameter count", n_params)
+            + _budget("train.queue_size", "queue_size * embed_dim", queue)
+            + _budget(
+                "model.trunk", "max(n_train, n_test) * the widest trunk layer", features
+            )
+            + _budget("train.batch_size", "batch_size * the widest layer", batch)
         )
 
 

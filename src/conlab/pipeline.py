@@ -191,6 +191,20 @@ def _encode(params: EncoderParams, x: np.ndarray, step: int):
     return out, tape
 
 
+def _pair_logits(q: np.ndarray, k: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """(n, 1 + K) similarities before the temperature: each query with its
+    own key in column 0, then with each of the K queue features."""
+    logits = np.empty((q.shape[0], 1 + features.shape[0]))
+    np.sum(q * k, axis=1, out=logits[:, 0])
+    # The queue product is the step's one large GEMM, and its layout decides
+    # where it runs. OpenBLAS sends q @ F.T (a transposed operand) at the
+    # default shapes to its thread pool, whose idle worker then spins on a
+    # second core between steps; against a contiguous (D, K) copy, K*D
+    # elements, it takes the small-matrix kernel on the calling thread.
+    np.matmul(q, np.ascontiguousarray(features.T), out=logits[:, 1:])
+    return logits
+
+
 def train_step(
     state: TrainState,
     x: np.ndarray,
@@ -213,9 +227,7 @@ def train_step(
     q, tape = _encode(state.params_q, x_q, state.step)
     k, _ = _encode(state.params_k, x_k, state.step)  # no grad flows through keys
 
-    logits = np.concatenate(
-        [np.sum(q * k, axis=1, keepdims=True), q @ state.queue.features.T], axis=1
-    )
+    logits = _pair_logits(q, k, state.queue.features)
     logits /= train_cfg.tau
 
     if train_cfg.loss == "infonce":

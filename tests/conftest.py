@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-summary reporter.
+"""Shared fixtures and the terminal summary (acceptance criteria, suite clocks).
 
 The fast unit tests run on a deliberately tiny problem (`small_cfg`); the
 full-size defaults only appear in test_acceptance.py, which records one
@@ -6,6 +6,8 @@ PASS/FAIL line per criterion into the terminal summary via the hook below.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 from hypothesis import settings
@@ -32,11 +34,24 @@ def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
 
 
+# wall and process CPU clocks when the session starts
+_START: list[float] = []
+
+
+def pytest_sessionstart(session):
+    _START[:] = [time.perf_counter(), time.process_time()]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    # process CPU counts every thread, so a BLAS worker spinning beside the
+    # tests shows as CPU well above wall time on a single-threaded suite
+    wall = time.perf_counter() - _START[0]
+    cpu = time.process_time() - _START[1]
+    terminalreporter.write_line(f"suite: wall {wall:.1f} s, process CPU {cpu:.1f} s")
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,12 @@ from hypothesis import strategies as st
 
 from conlab import cli
 from conlab.cli import main
-from conlab.config import config_digest, config_to_dict, load_config
+from conlab.config import (
+    config_digest,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+)
 from conlab.model import params_equal
 from conlab.pipeline import init_state
 from conlab.storage import (
@@ -368,6 +373,48 @@ def test_checkpoint_with_over_budget_config_exit_2(workspace, capsys):
     )
     assert code == 2
     assert "config error: train.queue_size:" in capsys.readouterr().err
+
+
+# under a million parameters, but 5000 x 65536 probe features (2.6 GB)
+WIDE_TRUNK = {
+    "dataset": {"input_dim": 2},
+    "model": {"trunk": [65536], "proj_hidden": 8},
+}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+def test_over_budget_activations_exit_2_before_allocating(tmp_path, capsys, command):
+    spec, config = tmp_path / "spec.json", tmp_path / "wide.json"
+    spec.write_text(json.dumps(WIDE_TRUNK["dataset"]))
+    config.write_text(json.dumps(WIDE_TRUNK))
+    data = tmp_path / "data.umc"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(data)]) == 0
+    # a checkpoint that fits the wide config, saved with splits small enough
+    # for the budget; its layout does not depend on the split sizes
+    cfg = config_from_dict(
+        dict(WIDE_TRUNK, dataset={"input_dim": 2, "n_train": 64, "n_test": 64})
+    )
+    ckpt = tmp_path / "ckpt.umc"
+    save_checkpoint(ckpt, init_state(cfg.model, cfg.train, 2), cfg)
+    _edit_header(
+        ckpt, lambda h: h["config"]["dataset"].update(n_train=5000, n_test=1000)
+    )
+    argv = {
+        "pretrain": ["pretrain", "--config", str(config), "--data", str(data),
+                     "--out-dir", str(tmp_path / "o")],
+        "probe": ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                  "--out", str(tmp_path / "p.json")],
+    }[command]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 50 * 2**20
+    err = capsys.readouterr().err
+    assert "config error: model.trunk: max(n_train, n_test) * the widest" in err
 
 
 def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):

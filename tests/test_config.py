@@ -182,8 +182,25 @@ def test_configs_built_in_code_are_checked(build, needle):
         (lambda: TrainConfig(batch_size=2**12, queue_size=2**14), "train.batch_size: "),
         (lambda: DatasetSpec(n_train=2**24 + 1, input_dim=4), "dataset.n_train: "),
         (lambda: DatasetSpec(n_test=2**24 + 1, input_dim=4), "dataset.n_test: "),
+        # 5000 x 65536 probe features (2.6 GB) from under a million parameters
+        (
+            lambda: RunConfig(
+                dataset=DatasetSpec(input_dim=2),
+                model=ModelConfig(trunk=(2**16,), proj_hidden=8),
+            ),
+            "model.trunk: ",
+        ),
+        (
+            lambda: RunConfig(
+                dataset=DatasetSpec(input_dim=2),
+                model=ModelConfig(trunk=(8,), proj_hidden=2**20 + 1),
+            ),
+            "train.batch_size: ",
+        ),
     ],
-    ids=["parameters", "queue", "logits", "train_data", "test_data"],
+    ids=[
+        "parameters", "queue", "logits", "train_data", "test_data", "features", "batch"
+    ],
 )
 def test_sizes_over_the_element_budget_rejected(build, needle):
     # configs only: an array of such a size is never allocated here
@@ -196,6 +213,14 @@ def test_sizes_at_the_element_budget_allowed():
     DatasetSpec(n_train=2**24, n_test=2**24, input_dim=4)
     TrainConfig(batch_size=2**12, queue_size=2**14 - 1)  # 2**12 * 2**14 logits
     RunConfig(model=ModelConfig(embed_dim=2**17))  # 512 * 2**17 queue elements
+    RunConfig(  # 2**10 * 2**16 probe features
+        dataset=DatasetSpec(input_dim=2, n_train=2**10, n_test=2**10),
+        model=ModelConfig(trunk=(2**16,), proj_hidden=8),
+    )
+    RunConfig(  # 64 * 2**20 activations at the projection's hidden layer
+        dataset=DatasetSpec(input_dim=2),
+        model=ModelConfig(trunk=(8,), proj_hidden=2**20),
+    )
 
 
 def test_bare_spec_skips_the_rules_that_span_sections():

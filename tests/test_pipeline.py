@@ -1,6 +1,8 @@
 """Dataset synthesis, label masking, augmentation, and the training loop."""
 
 import dataclasses
+import resource
+import time
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +21,7 @@ from conlab.model import leaves, params_equal
 from conlab.numerics import Rng
 from conlab.pipeline import (
     DivergenceError,
+    _pair_logits,
     augment,
     cosine_lr,
     generate_dataset,
@@ -289,6 +292,20 @@ def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
     ]
 
 
+@pytest.mark.parametrize("n, k, d", [(64, 512, 16), (24, 48, 8)])
+def test_pair_logits_equal_the_transposed_product(n, k, d):
+    # The queue columns come from a product against a contiguous (D, K) copy
+    # of the queue, which OpenBLAS runs with another kernel than q @ F.T.
+    # Checked at the shapes conlab trains (the default config and small_cfg),
+    # where the two agree bit for bit. That is not universal: at batch 1, or
+    # at 63 x 511, they differed in the last bit in 50 of 50 random trials.
+    rng = np.random.default_rng(n)
+    q, keys, features = (rng.normal(size=(rows, d)) for rows in (n, n, k))
+    logits = _pair_logits(q, keys, features)
+    assert np.array_equal(logits[:, 0], np.sum(q * keys, axis=1))
+    assert np.array_equal(logits[:, 1:], q @ features.T)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -380,3 +397,25 @@ def test_pretrain_loss_descends():
     assert len(losses) == 200
     first, last = np.mean(losses[:20]), np.mean(losses[-20:])
     assert last < first - 0.5
+
+
+def _cpu_s(who):
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+
+@pytest.mark.skipif(
+    not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times"
+)
+def test_pretrain_keeps_blas_on_the_calling_thread():
+    # An idle OpenBLAS worker spins while it waits, and steps come about 1 ms
+    # apart, so one woken by the queue product would burn a second core for
+    # the whole run. Default model and train shapes, 300 steps.
+    cfg = RunConfig(dataset=DatasetSpec(n_train=640))
+    dataset = generate_dataset(cfg.dataset)
+    time.sleep(0.5)  # a worker woken by an earlier test goes back to sleep
+    process, thread = _cpu_s(resource.RUSAGE_SELF), _cpu_s(resource.RUSAGE_THREAD)
+    pretrain(dataset, cfg)
+    thread = _cpu_s(resource.RUSAGE_THREAD) - thread
+    others = _cpu_s(resource.RUSAGE_SELF) - process - thread
+    assert others < 0.1 * thread, f"other threads {others:.2f} s, main {thread:.2f} s"
