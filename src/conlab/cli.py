@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .config import (
@@ -19,7 +19,6 @@ from .config import (
     RunConfig,
     config_digest,
     config_from_dict,
-    config_to_dict,
     load_config,
     run_id,
     spec_from_dict,
@@ -32,7 +31,7 @@ from .experiments import (
 )
 from .losses import LOSS_KINDS
 from .losscheck import format_check_table, run_losscheck
-from .pipeline import DivergenceError, generate_dataset, pretrain
+from .pipeline import DivergenceError, check_dataset_matches, generate_dataset, pretrain
 from .probes import run_probes
 from .storage import (
     MetricsWriter,
@@ -59,18 +58,6 @@ def _load_dataset_spec(path):
     return spec_from_dict(doc)
 
 
-def _check_dataset_matches(cfg, dataset):
-    want = config_to_dict(cfg)["dataset"]
-    have = asdict(dataset.spec)
-    if want != have:
-        diffs = [
-            f"dataset.{key}: config has {want[key]!r}, file has {have[key]!r}"
-            for key in sorted(want)
-            if want[key] != have[key]
-        ]
-        raise ConfigError(diffs or ["dataset section mismatch"])
-
-
 def _cmd_gen_data(args) -> int:
     spec = _load_dataset_spec(args.spec)
     dataset = generate_dataset(spec)
@@ -92,7 +79,7 @@ def _non_negative_int(text: str) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
-    _check_dataset_matches(cfg, dataset)
+    check_dataset_matches(cfg, dataset)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -137,7 +124,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_probe(args) -> int:
     state, cfg = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    _check_dataset_matches(cfg, dataset)
+    check_dataset_matches(cfg, dataset)
     result = run_probes(state.params_q, dataset, cfg.probe, seed=cfg.train.seed)
     entry = {
         "run_id": run_id(cfg),
@@ -185,7 +172,7 @@ def _parse_list(text: str, flag: str, kind):
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
-    _check_dataset_matches(cfg, dataset)
+    check_dataset_matches(cfg, dataset)
     alphas = _parse_list(args.alphas, "--alphas", float)
     losses = [tok for tok in args.losses.split(",") if tok.strip() != ""]
     seeds = _parse_list(args.seeds, "--seeds", int)

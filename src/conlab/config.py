@@ -99,10 +99,6 @@ class ModelConfig(_Checked):
     proj_hidden: int | None = None  # defaults to the trunk output width
     embed_dim: int = 16
 
-    @property
-    def proj_hidden_dim(self) -> int:
-        return self.proj_hidden if self.proj_hidden is not None else self.trunk[-1]
-
     def validate(self) -> list[str]:
         problems = []
         if len(self.trunk) < 1 or any(w < 1 for w in self.trunk):
@@ -217,18 +213,39 @@ class RunConfig(_Checked):
     train: TrainConfig = field(default_factory=TrainConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        """The encoder's widths, input to embedding: one layer per pair."""
+        m = self.model
+        hidden = m.trunk[-1] if m.proj_hidden is None else m.proj_hidden
+        return (self.dataset.input_dim, *m.trunk, hidden, m.embed_dim)
+
+    @property
+    def steps_per_epoch(self) -> int:
+        """Full batches per epoch; the remainder of the training set is dropped."""
+        return self.dataset.n_train // self.train.batch_size
+
+    @property
+    def total_steps(self) -> int:
+        return self.train.epochs * self.steps_per_epoch
+
     def validate(self) -> list[str]:
-        """The budget rules that span sections: parameters, the queue, and
-        activations (the probes' trunk features for the larger split, and a
-        training batch at the widest layer)."""
+        """The rules that span sections: a batch fits in the training set,
+        and the budgets of parameters, the queue, and activations (the
+        probes' trunk features for the larger split, and a training batch at
+        the widest layer)."""
         d, m = self.dataset, self.model
-        dims = (d.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim)
+        problems = []
+        if self.train.batch_size > d.n_train:
+            problems.append("train.batch_size: must be <= dataset.n_train")
+        dims = self.layer_dims
         n_params = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
         queue = self.train.queue_size * m.embed_dim
         features = max(d.n_train, d.n_test) * max(m.trunk)
         batch = self.train.batch_size * max(dims)
         return (
-            _budget("model", "the parameter count", n_params)
+            problems
+            + _budget("model", "the parameter count", n_params)
             + _budget("train.queue_size", "queue_size * embed_dim", queue)
             + _budget(
                 "model.trunk", "max(n_train, n_test) * the widest trunk layer", features

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .config import RunConfig, with_train
-from .pipeline import Dataset, pretrain
+from .pipeline import Dataset, check_dataset_matches, pretrain
 from .probes import run_probes
 
 
@@ -65,6 +65,7 @@ def compare_grid(
         if repeated:
             raise ValueError(f"repeated {noun}: {', '.join(repeated)}")
     alphas = tuple(sorted({float(a) for a in alphas} | {0.0}))
+    check_dataset_matches(cfg, dataset)
     # every cell's config is built (and so checked) before the first cell runs
     run_cfgs = {
         (kind, alpha, seed): with_train(cfg, loss=kind, label_ratio=alpha, seed=seed)

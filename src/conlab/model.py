@@ -119,15 +119,12 @@ def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
     return a._layout.shapes == b._layout.shapes and np.array_equal(a.flat, b.flat)
 
 
-def init_params(
-    input_dim: int,
-    trunk_widths,
-    proj_hidden: int,
-    embed_dim: int,
-    rng: Rng,
-) -> EncoderParams:
-    """Fan-in-scaled uniform weights, zero biases, deterministic per stream."""
-    dims = (input_dim, *(int(w) for w in trunk_widths), proj_hidden, embed_dim)
+def init_params(dims, rng: Rng) -> EncoderParams:
+    """Fan-in-scaled uniform weights, zero biases, deterministic per stream.
+
+    ``dims`` are the widths from input to embedding (``RunConfig.layer_dims``):
+    at least one trunk layer, then the two projection layers."""
+    dims = tuple(int(d) for d in dims)
     if len(dims) < 4 or any(d < 1 for d in dims):
         raise ValueError("invalid dims")
 
@@ -176,7 +173,8 @@ def forward(params: EncoderParams, x: np.ndarray):
     """Full pass: every layer, a ReLU between layers, L2 normalization.
 
     Returns (embeddings, tape); embeddings rows are unit norm. Raises
-    ``DegenerateVectorError`` if a raw embedding's norm is <= 1e-12.
+    ``DegenerateVectorError`` unless every raw embedding's norm is finite and
+    above ``DEGENERATE_NORM``: such a row has no unit-norm direction.
     """
     inputs = [_as_inputs(params, x)]
     for w, b in params.layers[:-1]:
@@ -184,7 +182,7 @@ def forward(params: EncoderParams, x: np.ndarray):
     w, b = params.layers[-1]
     raw = inputs[-1] @ w + b
     norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms <= DEGENERATE_NORM):
+    if not np.all(np.isfinite(norms) & (norms > DEGENERATE_NORM)):
         raise DegenerateVectorError("degenerate vector")
     out = raw / norms[:, None]
     return out, ForwardTape(params, inputs, norms, out)

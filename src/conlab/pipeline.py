@@ -13,11 +13,11 @@ bit-exactly from a checkpoint that stores nothing but the seed and the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import AugConfig, DatasetSpec, ModelConfig, RunConfig, TrainConfig
+from .config import AugConfig, ConfigError, DatasetSpec, RunConfig, TrainConfig
 from .losses import loss_batch
 from .model import (
     EncoderParams,
@@ -137,20 +137,12 @@ class StepMetrics:
     lr: float
 
 
-def init_state(
-    model_cfg: ModelConfig, train_cfg: TrainConfig, input_dim: int
-) -> TrainState:
-    root = Rng(train_cfg.seed)
-    params_q = init_params(
-        input_dim,
-        model_cfg.trunk,
-        model_cfg.proj_hidden_dim,
-        model_cfg.embed_dim,
-        root.stream("init"),
-    )
+def init_state(cfg: RunConfig) -> TrainState:
+    root = Rng(cfg.train.seed)
+    params_q = init_params(cfg.layer_dims, root.stream("init"))
     params_k = map_leaves(np.copy, params_q)
     queue = init_queue(
-        train_cfg.queue_size, model_cfg.embed_dim, root.stream("queue-init")
+        cfg.train.queue_size, cfg.model.embed_dim, root.stream("queue-init")
     )
     return TrainState(
         params_q=params_q,
@@ -178,17 +170,14 @@ def _encode(params: EncoderParams, x: np.ndarray, step: int):
     """Forward pass that reports a blown-up encoder as divergence.
 
     Overflow inside the forward pass is not an error in itself, so the IEEE
-    warnings are silenced; what diverges is an embedding whose
-    pre-normalization norm is too small to normalize or not finite.
+    warnings are silenced; what diverges is an embedding that ``forward``
+    cannot normalize.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            out, tape = forward(params, x)
+            return forward(params, x)
     except DegenerateVectorError as exc:
         raise DivergenceError(f"divergence at step {step}") from exc
-    if not np.all(np.isfinite(tape.norms)):
-        raise DivergenceError(f"divergence at step {step}")
-    return out, tape
 
 
 def _pair_logits(q: np.ndarray, k: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -276,11 +265,17 @@ def train_step(
     return new_state, metrics
 
 
-def steps_per_epoch(n_train: int, batch_size: int) -> int:
-    spe = n_train // batch_size
-    if spe < 1:
-        raise ValueError("batch_size exceeds the training set")
-    return spe
+def check_dataset_matches(cfg: RunConfig, dataset: Dataset) -> None:
+    """Raise ConfigError, one message per differing key, unless ``dataset``
+    was generated from ``cfg.dataset``."""
+    want, have = asdict(cfg.dataset), asdict(dataset.spec)
+    diffs = [
+        f"dataset.{key}: config has {want[key]!r}, file has {have[key]!r}"
+        for key in sorted(want)
+        if want[key] != have[key]
+    ]
+    if diffs:
+        raise ConfigError(diffs)
 
 
 def pretrain(
@@ -293,30 +288,30 @@ def pretrain(
 ) -> TrainState:
     """Run (or resume) momentum-encoder pretraining.
 
-    The label view used for targets is derived here from the ground truth,
-    the dataset seed and ``cfg.train.label_ratio``. ``state`` continues a
+    ``dataset`` must be the one ``cfg.dataset`` describes (ConfigError
+    otherwise), since the schedule comes from the config. The label view
+    used for targets is derived here from the ground truth, the dataset
+    seed and ``cfg.train.label_ratio``. ``state`` continues a
     previous run from ``state.step``; randomness is re-derived from the
     config seed and the step counter, so stopping and resuming produces the
     same trajectory as an uninterrupted run. Each step's metrics go to
     ``step_callback``, if given; the final state is returned.
     """
+    check_dataset_matches(cfg, dataset)
     train_cfg = cfg.train
-    labels = mask_labels(
-        dataset.train_y, train_cfg.label_ratio, Rng(dataset.spec.seed)
-    )
+    labels = mask_labels(dataset.train_y, train_cfg.label_ratio, Rng(cfg.dataset.seed))
     if state is None:
-        state = init_state(cfg.model, train_cfg, dataset.train_x.shape[1])
+        state = init_state(cfg)
     root = Rng(train_cfg.seed)
-    spe = steps_per_epoch(dataset.train_x.shape[0], train_cfg.batch_size)
-    total = train_cfg.epochs * spe
-    stop = total if max_steps is None else min(total, max_steps)
+    spe = cfg.steps_per_epoch
+    stop = cfg.total_steps if max_steps is None else min(cfg.total_steps, max_steps)
 
     perm = None
     perm_epoch = -1
     while state.step < stop:
         epoch = state.step // spe
         if epoch != perm_epoch:
-            perm = root.stream("shuffle", epoch).permutation(dataset.train_x.shape[0])
+            perm = root.stream("shuffle", epoch).permutation(cfg.dataset.n_train)
             perm_epoch = epoch
         b = state.step % spe
         idx = perm[b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size]
@@ -341,12 +336,12 @@ __all__ = [
     "StepMetrics",
     "TrainState",
     "augment",
+    "check_dataset_matches",
     "cosine_lr",
     "generate_dataset",
     "global_norm",
     "init_state",
     "mask_labels",
     "pretrain",
-    "steps_per_epoch",
     "train_step",
 ]

@@ -33,7 +33,7 @@ from .config import (
     spec_from_dict,
 )
 from .model import EncoderParams, leaves
-from .pipeline import Dataset, StepMetrics, TrainState, steps_per_epoch
+from .pipeline import Dataset, StepMetrics, TrainState
 from .queues import UNIT_NORM_TOL, UNLABELED, PairQueue
 
 MAGIC = b"UMC1"
@@ -224,8 +224,7 @@ def load_dataset(path) -> Dataset:
 def _checkpoint_layout(cfg: RunConfig):
     """(name, shape, dtype) of every array of a state trained under ``cfg``,
     in stored order: each layer of q, k and v (w, then b), then the queue."""
-    m, q = cfg.model, cfg.train.queue_size
-    dims = [cfg.dataset.input_dim, *m.trunk, m.proj_hidden_dim, m.embed_dim]
+    m, q, dims = cfg.model, cfg.train.queue_size, cfg.layer_dims
     stems = [f"trunk.{i}" for i in range(len(m.trunk))] + ["proj.0", "proj.1"]
     layout = []
     for tree in "qkv":
@@ -250,8 +249,7 @@ def _decode_checkpoint(header: dict, arrays: dict) -> tuple[TrainState, RunConfi
         step, queue = header["step"], header["queue"]
     except KeyError as exc:
         raise StorageError(f"checkpoint file lacks {exc}") from None
-    spe = steps_per_epoch(cfg.dataset.n_train, cfg.train.batch_size)
-    total = cfg.train.epochs * spe
+    total = cfg.total_steps
     if not (_is_count(step) and step <= total):
         raise StorageError(
             f"checkpoint step must be an integer in [0, {total}], got {step!r}"

@@ -148,7 +148,7 @@ def test_pretrain_epochs_zero_keeps_init(workspace, tmp_path):
          "--out-dir", str(out)]
     ) == 0
     state, cfg = load_checkpoint(out / "checkpoint.umc")
-    init = init_state(cfg.model, cfg.train, cfg.dataset.input_dim)
+    init = init_state(cfg)
     assert state.step == 0
     assert params_equal(state.params_q, init.params_q)
 
@@ -375,6 +375,28 @@ def test_checkpoint_with_over_budget_config_exit_2(workspace, capsys):
     assert "config error: train.queue_size:" in capsys.readouterr().err
 
 
+# a batch of 64 from a training set of 40 rows: not one step per epoch
+BATCH_OVER_N_TRAIN = dict(
+    SMALL_CONFIG,
+    dataset=dict(SMALL_CONFIG["dataset"], n_train=40),
+    train=dict(SMALL_CONFIG["train"], batch_size=64, queue_size=64),
+)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "compare"])
+def test_batch_over_n_train_exit_2_before_writing(workspace, capsys, command):
+    tmp_path, _, data = workspace
+    config, out = tmp_path / "batch.json", tmp_path / "out"
+    config.write_text(json.dumps(BATCH_OVER_N_TRAIN))
+    code = main(
+        [command, "--config", str(config), "--data", str(data), "--out-dir", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: train.batch_size: must be <= dataset.n_train\n"
+    assert not out.exists()
+
+
 # under a million parameters, but 5000 x 65536 probe features (2.6 GB)
 WIDE_TRUNK = {
     "dataset": {"input_dim": 2},
@@ -395,7 +417,7 @@ def test_over_budget_activations_exit_2_before_allocating(tmp_path, capsys, comm
         dict(WIDE_TRUNK, dataset={"input_dim": 2, "n_train": 64, "n_test": 64})
     )
     ckpt = tmp_path / "ckpt.umc"
-    save_checkpoint(ckpt, init_state(cfg.model, cfg.train, 2), cfg)
+    save_checkpoint(ckpt, init_state(cfg), cfg)
     _edit_header(
         ckpt, lambda h: h["config"]["dataset"].update(n_train=5000, n_test=1000)
     )
@@ -499,7 +521,7 @@ def _entry(header, name):
 def _fresh_checkpoint(tmp_path, config):
     cfg = load_config(config)
     ckpt = tmp_path / "ckpt.umc"
-    save_checkpoint(ckpt, init_state(cfg.model, cfg.train, cfg.dataset.input_dim), cfg)
+    save_checkpoint(ckpt, init_state(cfg), cfg)
     return ckpt
 
 
@@ -569,6 +591,13 @@ BAD_CHECKPOINT_HEADERS = {
     # a layout of 2**20-wide arrays (about 0.5 GB), within the element
     # budget: the peak memory bound below shows it is checked, not allocated
     "embed_dim_huge": lambda h: h["config"]["model"].update(embed_dim=2**20),
+    "batch_over_n_train": lambda h: h["config"].update(
+        dataset=BATCH_OVER_N_TRAIN["dataset"], train=BATCH_OVER_N_TRAIN["train"]
+    ),
+}
+# the cases refused by a config rule, not by the checkpoint's own checks
+BAD_CHECKPOINT_CONFIG_ERRORS = {
+    "batch_over_n_train": "config error: train.batch_size: must be <= dataset.n_train"
 }
 
 
@@ -589,8 +618,8 @@ def test_bad_checkpoint_header_exit_2(workspace, capsys, case):
     assert code == 2
     assert peak < 50 * 2**20
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert "out of memory" not in err
+    assert err.startswith(BAD_CHECKPOINT_CONFIG_ERRORS.get(case, "error: "))
+    assert "Traceback" not in err and "out of memory" not in err
 
 
 def test_resume_from_checkpoint_with_shifted_cursor_exit_2(workspace, capsys):
@@ -868,7 +897,7 @@ def test_repeated_resume_writes_each_step_once(workspace):
 
 
 def test_finished_run_checkpoint_loads_and_resumes_without_a_step(workspace):
-    # step == epochs * steps_per_epoch is the last step a checkpoint can hold
+    # step == cfg.total_steps is the last step a checkpoint can hold
     tmp_path, config, data = workspace
     out = tmp_path / "run"
     base = ["pretrain", "--config", str(config), "--data", str(data),

@@ -93,6 +93,7 @@ def test_validation_bounds():
         ({"train": {"label_ratio": 1.5}}, "train.label_ratio"),
         ({"train": {"momentum_m": -0.2}}, "train.momentum_m"),
         ({"train": {"batch_size": 80, "queue_size": 64}}, "train.batch_size"),
+        ({"dataset": {"n_train": 40}}, "train.batch_size: must be <= dataset.n_train"),
         ({"train": {"aug": {"dropout_p": 1.0}}}, "train.aug.dropout_p"),
         ({"train": {"loss": "triplet"}}, "train.loss"),
         ({"dataset": {"n_classes": 1}}, "dataset.n_classes"),
@@ -162,10 +163,14 @@ def test_every_problem_is_collected():
         (lambda: AugConfig(noise_std=float("inf")), "train.aug.noise_std: must be"),
         (lambda: DatasetSpec(cluster_spread=float("inf")), "dataset.cluster_spread"),
         (lambda: ProbeConfig(knn_temperature=float("nan")), "probe.knn_temperature"),
+        (
+            lambda: with_train(RunConfig(), batch_size=5001, queue_size=6000),
+            "train.batch_size: must be <= dataset.n_train",
+        ),
     ],
     ids=[
         "lr", "tau", "epochs", "loss", "replace", "probe_epochs", "nested_aug",
-        "nan_lr", "inf_noise", "inf_spread", "nan_temperature",
+        "nan_lr", "inf_noise", "inf_spread", "nan_temperature", "batch_over_n_train",
     ],
 )
 def test_configs_built_in_code_are_checked(build, needle):
@@ -251,8 +256,24 @@ def test_optional_fields_accept_null():
 
 
 def test_proj_hidden_defaults_to_trunk_output():
-    assert ModelConfig(trunk=(64, 48)).proj_hidden_dim == 48
-    assert ModelConfig(trunk=(64, 48), proj_hidden=24).proj_hidden_dim == 24
+    def dims(**model):
+        return RunConfig(model=ModelConfig(trunk=(64, 48), **model)).layer_dims
+
+    assert dims() == (20, 64, 48, 48, 16)
+    assert dims(proj_hidden=24) == (20, 64, 48, 24, 16)
+
+
+def test_run_config_steps_per_epoch():
+    def cfg(n_train, batch_size):
+        return RunConfig(
+            dataset=DatasetSpec(n_train=n_train),
+            train=TrainConfig(batch_size=batch_size, epochs=3),
+        )
+
+    assert cfg(240, 24).steps_per_epoch == 10
+    assert cfg(250, 24).steps_per_epoch == 10  # remainder dropped
+    assert cfg(24, 24).steps_per_epoch == 1
+    assert cfg(250, 24).total_steps == 30
 
 
 def test_load_config_file_and_bad_json(tmp_path):

@@ -1,5 +1,6 @@
 """The loss x label-ratio x seed sweep grid."""
 
+import dataclasses
 import json
 
 import pytest
@@ -51,8 +52,9 @@ def test_grid_validates_inputs(small_cfg, small_dataset):
         compare_grid(small_dataset, small_cfg, ("unicon",), (1.5,), (0,))
 
 
-def test_grid_checks_every_cell_before_training(small_cfg, small_dataset, monkeypatch):
-    # a bad seed late in the grid must not cost the training of earlier cells
+@pytest.fixture()
+def pretrain_calls(monkeypatch):
+    """The seed of each cell the grid starts to train, in order."""
     calls = []
     real_pretrain = experiments.pretrain
 
@@ -61,10 +63,31 @@ def test_grid_checks_every_cell_before_training(small_cfg, small_dataset, monkey
         return real_pretrain(dataset, cfg)
 
     monkeypatch.setattr(experiments, "pretrain", counting_pretrain)
+    return calls
+
+
+def test_grid_checks_every_cell_before_training(
+    small_cfg, small_dataset, pretrain_calls
+):
+    # a bad seed late in the grid must not cost the training of earlier cells
     cfg = with_train(small_cfg, epochs=1)
     with pytest.raises(ConfigError, match="train.seed"):
         compare_grid(small_dataset, cfg, ("unicon",), (1.0,), (0, -1))
-    assert calls == []
+    assert pretrain_calls == []
+
+
+def test_grid_refuses_a_dataset_its_config_does_not_name(
+    small_cfg, small_dataset, pretrain_calls
+):
+    spec = dataclasses.replace(small_cfg.dataset, n_train=120, mean_radius=2.0)
+    cfg = dataclasses.replace(with_train(small_cfg, epochs=1), dataset=spec)
+    with pytest.raises(ConfigError) as info:
+        compare_grid(small_dataset, cfg, ("unicon",), (1.0,), (0,))
+    assert info.value.problems == [
+        "dataset.mean_radius: config has 2.0, file has 3.0",
+        "dataset.n_train: config has 120, file has 240",
+    ]
+    assert pretrain_calls == []
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,8 @@ from conlab.numerics import DEGENERATE_NORM, DegenerateVectorError, Rng
 
 
 def small_params(seed=0, input_dim=7, trunk=(10, 6), proj_hidden=6, embed=5):
-    return init_params(input_dim, trunk, proj_hidden, embed, Rng(seed).stream("init"))
+    dims = (input_dim, *trunk, proj_hidden, embed)
+    return init_params(dims, Rng(seed).stream("init"))
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ def test_init_deterministic_per_stream():
 
 
 def test_init_fan_in_scaling():
-    p = init_params(100, (50,), 50, 8, Rng(0).stream("init"))
+    p = init_params((100, 50, 50, 8), Rng(0).stream("init"))
     w_wide, _ = p.trunk[0]  # fan_in 100
     w_narrow, _ = p.proj[0]  # fan_in 50
     assert np.abs(w_wide).max() <= np.sqrt(6.0 / 100) + 1e-12
@@ -110,6 +111,17 @@ def test_forward_degenerate_embedding_raises():
         p = _with_last_bias(small_params(1), np.array([norm, 0.0, 0.0, 0.0, 0.0]))
         with pytest.raises(DegenerateVectorError, match="degenerate vector"):
             forward(p, Rng(2).stream("x").normal(size=(3, 7)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "huge"])
+def test_forward_non_finite_embedding_raises(value):
+    # a NaN or inf input row has no finite embedding norm, and a 1e300 row's
+    # norm overflows to inf: dividing by it would give an all-zero row
+    x = Rng(2).stream("x").normal(size=(3, 7))
+    x[1] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateVectorError, match="degenerate vector"):
+            forward(small_params(1), x)
 
 
 def test_forward_deterministic():
@@ -193,7 +205,7 @@ def leafwise_backward(tape, g):
 
 def test_backward_into_flat_vector_is_bit_identical_to_leafwise():
     # the default model and batch shapes, where BLAS picks its real kernels
-    p = init_params(20, (64, 32), 32, 16, Rng(30).stream("init"))
+    p = init_params((20, 64, 32, 32, 16), Rng(30).stream("init"))
     root = Rng(31)
     x = root.stream("x").normal(size=(64, 20))
     g = root.stream("g").normal(size=(64, 16))

@@ -10,6 +10,7 @@ import pytest
 
 from conlab.config import (
     AugConfig,
+    ConfigError,
     DatasetSpec,
     ModelConfig,
     ProbeConfig,
@@ -28,7 +29,6 @@ from conlab.pipeline import (
     init_state,
     mask_labels,
     pretrain,
-    steps_per_epoch,
     train_step,
 )
 from conlab.queues import UNLABELED
@@ -186,7 +186,7 @@ def test_cosine_lr_schedule():
 
 
 def test_init_state(small_cfg):
-    state = init_state(small_cfg.model, small_cfg.train, small_cfg.dataset.input_dim)
+    state = init_state(small_cfg)
     assert state.step == 0
     assert params_equal(state.params_q, state.params_k)
     assert all(np.all(l == 0) for l in leaves(state.velocity))
@@ -196,20 +196,13 @@ def test_init_state(small_cfg):
     assert np.all(state.queue.labels == UNLABELED)
 
 
-def test_steps_per_epoch():
-    assert steps_per_epoch(240, 24) == 10
-    assert steps_per_epoch(250, 24) == 10  # remainder dropped
-    with pytest.raises(ValueError, match="batch_size exceeds"):
-        steps_per_epoch(10, 24)
-
-
 # ---------------------------------------------------------------------------
 # single training step
 
 
 def test_train_step_updates_state(small_cfg, small_dataset):
     train_cfg = small_cfg.train
-    state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
+    state = init_state(small_cfg)
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
     new_state, metrics = train_step(
@@ -228,7 +221,7 @@ def test_train_step_updates_state(small_cfg, small_dataset):
 @pytest.mark.parametrize("loss", ["unicon", "infonce"])
 def test_train_step_builds_new_trees_and_plain_metrics(small_cfg, small_dataset, loss):
     train_cfg = with_train(small_cfg, loss=loss).train
-    state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
+    state = init_state(small_cfg)
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
     new_state, metrics = train_step(
@@ -245,7 +238,7 @@ def test_train_step_builds_new_trees_and_plain_metrics(small_cfg, small_dataset,
 
 def test_train_step_key_encoder_trails_query(small_cfg, small_dataset):
     train_cfg = small_cfg.train
-    state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
+    state = init_state(small_cfg)
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
     new_state, _ = train_step(
@@ -262,7 +255,7 @@ def test_train_step_key_encoder_trails_query(small_cfg, small_dataset):
 
 def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset, on_loss):
     train_cfg = with_train(small_cfg, loss="infonce").train
-    state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
+    state = init_state(small_cfg)
     # seed the queue with labels that would match
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
@@ -280,7 +273,7 @@ def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset, on_lo
 
 def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
     train_cfg = small_cfg.train
-    state = init_state(small_cfg.model, train_cfg, small_dataset.spec.input_dim)
+    state = init_state(small_cfg)
     captured = []
     on_loss(lambda logits, targets: captured.append((logits.shape, targets.shape)))
     x = small_dataset.train_x[: train_cfg.batch_size]
@@ -328,8 +321,7 @@ def test_pretrain_deterministic(small_cfg, small_dataset):
 
 def test_pretrain_step_count_and_epochs(small_cfg, small_dataset):
     state, history = run_with_rows(small_dataset, small_cfg)
-    spe = steps_per_epoch(small_dataset.spec.n_train, small_cfg.train.batch_size)
-    assert state.step == spe * small_cfg.train.epochs
+    assert state.step == small_cfg.total_steps == 30
     assert len(history) == state.step
     assert [m.step for m in history] == list(range(state.step))
     assert history[-1].epoch == small_cfg.train.epochs - 1
@@ -338,7 +330,7 @@ def test_pretrain_step_count_and_epochs(small_cfg, small_dataset):
 def test_pretrain_epochs_zero_returns_init(small_cfg, small_dataset):
     cfg = with_train(small_cfg, epochs=0)
     state, history = run_with_rows(small_dataset, cfg)
-    init = init_state(cfg.model, cfg.train, small_dataset.spec.input_dim)
+    init = init_state(cfg)
     assert history == []
     assert params_equal(state.params_q, init.params_q)
 
@@ -369,6 +361,21 @@ def test_pretrain_alpha_zero_unicon_equals_infonce(small_cfg, small_dataset, on_
     on_loss(check)
     pretrain(small_dataset, cfg)
     assert diffs and max(diffs) <= 1e-10
+
+
+def test_pretrain_refuses_a_dataset_its_config_does_not_name(small_cfg, small_dataset):
+    # the schedule and the label view come from cfg.dataset, so a dataset of
+    # another spec would train a run that its config does not describe
+    spec = dataclasses.replace(small_cfg.dataset, n_train=120, mean_radius=2.0)
+    cfg = dataclasses.replace(small_cfg, dataset=spec)
+    rows = []
+    with pytest.raises(ConfigError) as info:
+        pretrain(small_dataset, cfg, step_callback=rows.append)
+    assert info.value.problems == [
+        "dataset.mean_radius: config has 2.0, file has 3.0",
+        "dataset.n_train: config has 120, file has 240",
+    ]
+    assert rows == []
 
 
 def test_pretrain_divergence_detected(small_cfg, small_dataset):

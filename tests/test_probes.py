@@ -36,13 +36,13 @@ def blobs(seed, n_per_class=60, classes=4, d=6, spread=0.25):
 
 
 def test_extract_features_is_trunk_output():
-    params = init_params(7, (10, 6), 6, 5, Rng(0).stream("init"))
+    params = init_params((7, 10, 6, 6, 5), Rng(0).stream("init"))
     x = Rng(1).stream("x").normal(size=(12, 7))
     assert np.array_equal(extract_features(params, x), trunk_features(params, x))
 
 
 def test_extract_features_shape_mismatch():
-    params = init_params(7, (10, 6), 6, 5, Rng(0).stream("init"))
+    params = init_params((7, 10, 6, 6, 5), Rng(0).stream("init"))
     with pytest.raises(ValueError, match="shape mismatch"):
         extract_features(params, np.zeros((3, 9)))
 
@@ -326,13 +326,7 @@ def test_knn_memory_stays_within_blocks():
 
 
 def test_run_probes_on_untrained_encoder(small_cfg, small_dataset):
-    params = init_params(
-        small_dataset.spec.input_dim,
-        small_cfg.model.trunk,
-        small_cfg.model.proj_hidden_dim,
-        small_cfg.model.embed_dim,
-        Rng(0).stream("init"),
-    )
+    params = init_params(small_cfg.layer_dims, Rng(0).stream("init"))
     res = run_probes(params, small_dataset, small_cfg.probe)
     assert 0.0 <= res.linear_top1 <= 1.0
     assert 0.0 <= res.knn_top1 <= 1.0
@@ -341,13 +335,7 @@ def test_run_probes_on_untrained_encoder(small_cfg, small_dataset):
 
 
 def test_run_probes_deterministic(small_cfg, small_dataset):
-    params = init_params(
-        small_dataset.spec.input_dim,
-        small_cfg.model.trunk,
-        small_cfg.model.proj_hidden_dim,
-        small_cfg.model.embed_dim,
-        Rng(1).stream("init"),
-    )
+    params = init_params(small_cfg.layer_dims, Rng(1).stream("init"))
     a = run_probes(params, small_dataset, small_cfg.probe, seed=2)
     b = run_probes(params, small_dataset, small_cfg.probe, seed=2)
     assert a == b

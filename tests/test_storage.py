@@ -221,7 +221,7 @@ def test_checkpoint_array_names_and_order(tmp_path, small_cfg, depth):
     trunk = (6, 5, 4)[:depth]
     cfg = replace(small_cfg, model=replace(small_cfg.model, trunk=trunk))
     path = tmp_path / "ck.umc"
-    save_checkpoint(path, init_state(cfg.model, cfg.train, 8), cfg)
+    save_checkpoint(path, init_state(cfg), cfg)
     header, _ = read_container(path)
     params = [
         f"{tree}.{stem}.{leaf}"
@@ -259,7 +259,7 @@ def test_checkpoint_kind_enforced(tmp_path, small_dataset):
 
 def test_save_checkpoint_refuses_state_that_does_not_fit_cfg(tmp_path):
     cfg = RunConfig()
-    state = init_state(cfg.model, cfg.train, cfg.dataset.input_dim)
+    state = init_state(cfg)
     narrow = replace(cfg, model=replace(cfg.model, trunk=(64, 31)))
     with pytest.raises(StorageError, match=r"'q\.trunk\.1\.w' has shape"):
         save_checkpoint(tmp_path / "ck.umc", state, narrow)
