@@ -123,9 +123,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_probe(args) -> int:
     state, cfg = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    check_dataset_matches(cfg, dataset)
-    result = run_probes(state.params_q, dataset, cfg.probe, seed=cfg.train.seed)
+    result = run_probes(state.params_q, load_dataset(args.data), cfg)
     entry = {
         "run_id": run_id(cfg),
         "loss": cfg.train.loss,
@@ -172,7 +170,6 @@ def _parse_list(text: str, flag: str, kind):
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
-    check_dataset_matches(cfg, dataset)
     alphas = _parse_list(args.alphas, "--alphas", float)
     losses = [tok for tok in args.losses.split(",") if tok.strip() != ""]
     seeds = _parse_list(args.seeds, "--seeds", int)

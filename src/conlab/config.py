@@ -230,14 +230,16 @@ class RunConfig(_Checked):
         return self.train.epochs * self.steps_per_epoch
 
     def validate(self) -> list[str]:
-        """The rules that span sections: a batch fits in the training set,
-        and the budgets of parameters, the queue, and activations (the
-        probes' trunk features for the larger split, and a training batch at
-        the widest layer)."""
+        """The rules that span sections: a batch and the kNN probe's k fit
+        in the training set, and the budgets of parameters, the queue, and
+        activations (the probes' trunk features for the larger split, and a
+        training batch at the widest layer)."""
         d, m = self.dataset, self.model
         problems = []
         if self.train.batch_size > d.n_train:
             problems.append("train.batch_size: must be <= dataset.n_train")
+        if self.probe.knn_k > d.n_train:
+            problems.append("probe.knn_k: must be <= dataset.n_train")
         dims = self.layer_dims
         n_params = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
         queue = self.train.queue_size * m.embed_dim

@@ -49,8 +49,8 @@ def compare_grid(
     seeds,
     progress=None,
 ) -> CompareResult:
-    """Run the full cross-product. Deterministic: cells depend only on
-    (dataset, config, loss, alpha, seed), never on execution order.
+    """Run the full cross-product. Each cell is ``pretrain`` and
+    ``run_probes`` under its own config, never depending on execution order.
 
     A loss or seed given twice is an error (it would run its cells again and
     count its results twice); repeated alphas collapse into one column."""
@@ -79,8 +79,9 @@ def compare_grid(
         for alpha in alphas:
             lin, knn = [], []
             for seed in seeds:
-                state = pretrain(dataset, run_cfgs[(kind, alpha, seed)])
-                res = run_probes(state.params_q, dataset, cfg.probe, seed=seed)
+                run_cfg = run_cfgs[(kind, alpha, seed)]
+                state = pretrain(dataset, run_cfg)
+                res = run_probes(state.params_q, dataset, run_cfg)
                 lin.append(res.linear_top1)
                 knn.append(res.knn_top1)
                 if progress is not None:

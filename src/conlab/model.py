@@ -79,16 +79,8 @@ class EncoderParams:
         return self.layers[:-2]
 
     @property
-    def proj(self) -> tuple[Layer, Layer]:
-        return self.layers[-2:]
-
-    @property
     def input_dim(self) -> int:
         return self._layout.shapes[0][0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self._layout.shapes[-2][1]
 
 
 def leaves(params: EncoderParams) -> list[np.ndarray]:

@@ -265,17 +265,37 @@ def train_step(
     return new_state, metrics
 
 
+def _dataset_layout(spec: DatasetSpec):
+    """(name, shape, dtype) of each array field of a Dataset, in field order."""
+    c, d, n, m = spec.n_classes, spec.input_dim, spec.n_train, spec.n_test
+    return [
+        ("means", (c, d), np.float64),
+        ("train_x", (n, d), np.float64),
+        ("train_y", (n,), np.int64),
+        ("test_x", (m, d), np.float64),
+        ("test_y", (m,), np.int64),
+    ]
+
+
 def check_dataset_matches(cfg: RunConfig, dataset: Dataset) -> None:
-    """Raise ConfigError, one message per differing key, unless ``dataset``
-    was generated from ``cfg.dataset``."""
+    """Raise ConfigError unless ``dataset`` was generated from ``cfg.dataset``
+    and holds the arrays its spec implies: one message per differing key,
+    then one per array of another shape or dtype."""
     want, have = asdict(cfg.dataset), asdict(dataset.spec)
-    diffs = [
+    problems = [
         f"dataset.{key}: config has {want[key]!r}, file has {have[key]!r}"
         for key in sorted(want)
         if want[key] != have[key]
     ]
-    if diffs:
-        raise ConfigError(diffs)
+    for name, shape, dtype in _dataset_layout(dataset.spec):
+        arr = np.asarray(getattr(dataset, name))
+        if arr.shape != shape or arr.dtype != dtype:
+            problems.append(
+                f"dataset array {name!r} has shape {arr.shape} and dtype "
+                f"{arr.dtype}, its spec implies {shape} and {np.dtype(dtype)}"
+            )
+    if problems:
+        raise ConfigError(problems)
 
 
 def pretrain(

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ProbeConfig
+from .config import ProbeConfig, RunConfig
 from .model import EncoderParams, trunk_features
 from .numerics import Rng
-from .pipeline import Dataset
+from .pipeline import Dataset, check_dataset_matches
 
 
 def extract_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -192,22 +192,18 @@ class ProbeResult:
     knn_top1: float
 
 
-def run_probes(
-    params: EncoderParams, dataset: Dataset, cfg: ProbeConfig, seed: int = 0
-) -> ProbeResult:
-    """Extract trunk features for both splits and run both probes."""
+def run_probes(params: EncoderParams, dataset: Dataset, cfg: RunConfig) -> ProbeResult:
+    """Score the encoder of the run ``cfg`` describes: both probes under
+    ``cfg.probe`` on the trunk features of both splits, with the linear
+    probe's shuffle seeded by ``cfg.train.seed``. ``dataset`` must be the one
+    ``cfg.dataset`` names (ConfigError otherwise)."""
+    check_dataset_matches(cfg, dataset)
     train_f = extract_features(params, dataset.train_x)
     test_f = extract_features(params, dataset.test_x)
-    linear = linear_probe(
-        train_f, dataset.train_y, test_f, dataset.test_y, cfg, seed=seed
-    )
+    train_y, test_y, probe = dataset.train_y, dataset.test_y, cfg.probe
+    linear = linear_probe(train_f, train_y, test_f, test_y, probe, seed=cfg.train.seed)
     knn = knn_probe(
-        train_f,
-        dataset.train_y,
-        test_f,
-        dataset.test_y,
-        cfg.knn_k,
-        cfg.knn_temperature,
+        train_f, train_y, test_f, test_y, probe.knn_k, probe.knn_temperature
     )
     return ProbeResult(linear_top1=linear, knn_top1=knn)
 

@@ -33,7 +33,7 @@ from .config import (
     spec_from_dict,
 )
 from .model import EncoderParams, leaves
-from .pipeline import Dataset, StepMetrics, TrainState
+from .pipeline import Dataset, StepMetrics, TrainState, _dataset_layout
 from .queues import UNIT_NORM_TOL, UNLABELED, PairQueue
 
 MAGIC = b"UMC1"
@@ -114,7 +114,7 @@ def read_container(path):
             isinstance(entry, dict)
             and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
-            and all(type(n) is int and n >= 0 for n in entry["shape"])
+            and all(_is_count(n) for n in entry["shape"])
             and entry.get("dtype") in ("f8", "i8")
         ):
             raise StorageError(
@@ -166,24 +166,12 @@ def _check_arrays(what: str, arrays: dict, layout) -> None:
 
 
 def _is_count(value) -> bool:
-    # the rule read_container applies to shapes: a JSON integer, not a bool
+    # a JSON integer, not a bool: array dims, checkpoint steps and cursors
     return type(value) is int and value >= 0
 
 
 # ---------------------------------------------------------------------------
 # datasets
-
-
-def _dataset_layout(spec):
-    """(name, shape, dtype) of each array field of a Dataset, in field order."""
-    c, d, n, m = spec.n_classes, spec.input_dim, spec.n_train, spec.n_test
-    return [
-        ("means", (c, d), np.float64),
-        ("train_x", (n, d), np.float64),
-        ("train_y", (n,), np.int64),
-        ("test_x", (m, d), np.float64),
-        ("test_y", (m,), np.int64),
-    ]
 
 
 def _decode_dataset(header: dict, arrays: dict) -> Dataset:

@@ -7,11 +7,14 @@ PASS/FAIL line per criterion into the terminal summary via the hook below.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
+import conlab.experiments
 import conlab.pipeline
 from conlab import (
     AugConfig,
@@ -89,6 +92,32 @@ def small_cfg() -> RunConfig:
 @pytest.fixture(scope="session")
 def small_dataset(small_cfg):
     return generate_dataset(small_cfg.dataset)
+
+
+@pytest.fixture(params=[120, 480], ids=["cut", "doubled"])
+def misshapen_dataset(request, small_dataset):
+    """``small_dataset`` with its 240 training rows cut to 120, or doubled to
+    480, while its spec still says 240."""
+    idx = np.arange(request.param) % small_dataset.train_y.size
+    return dataclasses.replace(
+        small_dataset,
+        train_x=small_dataset.train_x[idx],
+        train_y=small_dataset.train_y[idx],
+    )
+
+
+@pytest.fixture()
+def pretrain_calls(monkeypatch):
+    """The seed of each cell a grid starts to train, in order."""
+    calls = []
+    real_pretrain = conlab.experiments.pretrain
+
+    def counting_pretrain(dataset, cfg):
+        calls.append(cfg.train.seed)
+        return real_pretrain(dataset, cfg)
+
+    monkeypatch.setattr(conlab.experiments, "pretrain", counting_pretrain)
+    return calls
 
 
 @pytest.fixture()

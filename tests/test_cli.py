@@ -187,6 +187,42 @@ def test_pretrain_dataset_mismatch_rejected(workspace, tmp_path, capsys):
     assert "dataset.seed" in err
 
 
+# SMALL_CONFIG, but naming a dataset other than the workspace's
+OTHER_DATASET_SEED = dict(SMALL_CONFIG, dataset=dict(SMALL_CONFIG["dataset"], seed=99))
+OTHER_DATASET_SEED_ERROR = "config error: dataset.seed: config has 99, file has 5\n"
+
+
+def test_probe_dataset_mismatch_rejected(workspace, capsys):
+    tmp_path, _, data = workspace
+    config = tmp_path / "other.json"
+    config.write_text(json.dumps(OTHER_DATASET_SEED))
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    report = tmp_path / "probes.json"
+    report.write_bytes(b'[{"run_id": "earlier"}]\n')
+    code = main(
+        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(report)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == OTHER_DATASET_SEED_ERROR
+    assert report.read_bytes() == b'[{"run_id": "earlier"}]\n'
+
+
+def test_compare_dataset_mismatch_rejected(workspace, capsys, pretrain_calls):
+    tmp_path, _, data = workspace
+    config, out = tmp_path / "other.json", tmp_path / "cmp"
+    config.write_text(json.dumps(OTHER_DATASET_SEED))
+    code = main(
+        ["compare", "--config", str(config), "--data", str(data),
+         "--losses", "unicon", "--alphas", "1", "--seeds", "0",
+         "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == OTHER_DATASET_SEED_ERROR
+    assert pretrain_calls == []
+    assert not out.exists()
+
+
 def test_pretrain_divergence_exit_code(workspace, tmp_path, capsys):
     _, config, data = workspace
     doc = dict(SMALL_CONFIG)
@@ -381,6 +417,13 @@ BATCH_OVER_N_TRAIN = dict(
     dataset=dict(SMALL_CONFIG["dataset"], n_train=40),
     train=dict(SMALL_CONFIG["train"], batch_size=64, queue_size=64),
 )
+# 60 neighbours from a training set of 48 rows: a run the kNN probe refuses
+KNN_OVER_N_TRAIN = dict(
+    SMALL_CONFIG,
+    dataset=dict(SMALL_CONFIG["dataset"], n_train=48),
+    train=dict(SMALL_CONFIG["train"], batch_size=24, queue_size=48),
+    probe=dict(SMALL_CONFIG["probe"], knn_k=60),
+)
 
 
 @pytest.mark.parametrize("command", ["pretrain", "compare"])
@@ -394,6 +437,25 @@ def test_batch_over_n_train_exit_2_before_writing(workspace, capsys, command):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "config error: train.batch_size: must be <= dataset.n_train\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "compare"])
+def test_knn_k_over_n_train_exit_2_before_training(
+    workspace, capsys, pretrain_calls, command
+):
+    # such a run would train, then fail in the kNN probe: compare after its
+    # first cell, probe on the checkpoint pretrain wrote
+    tmp_path, _, data = workspace
+    config, out = tmp_path / "knn.json", tmp_path / "out"
+    config.write_text(json.dumps(KNN_OVER_N_TRAIN))
+    code = main(
+        [command, "--config", str(config), "--data", str(data), "--out-dir", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: probe.knn_k: must be <= dataset.n_train\n"
+    assert pretrain_calls == []
     assert not out.exists()
 
 
@@ -594,10 +656,14 @@ BAD_CHECKPOINT_HEADERS = {
     "batch_over_n_train": lambda h: h["config"].update(
         dataset=BATCH_OVER_N_TRAIN["dataset"], train=BATCH_OVER_N_TRAIN["train"]
     ),
+    "knn_k_over_n_train": lambda h: h["config"].update(
+        dataset=KNN_OVER_N_TRAIN["dataset"], probe=KNN_OVER_N_TRAIN["probe"]
+    ),
 }
 # the cases refused by a config rule, not by the checkpoint's own checks
 BAD_CHECKPOINT_CONFIG_ERRORS = {
-    "batch_over_n_train": "config error: train.batch_size: must be <= dataset.n_train"
+    "batch_over_n_train": "config error: train.batch_size: must be <= dataset.n_train",
+    "knn_k_over_n_train": "config error: probe.knn_k: must be <= dataset.n_train",
 }
 
 

@@ -99,6 +99,10 @@ def test_validation_bounds():
         ({"dataset": {"n_classes": 1}}, "dataset.n_classes"),
         ({"dataset": {"cluster_spread": 0.0}}, "dataset.cluster_spread"),
         ({"probe": {"knn_k": 0}}, "probe.knn_k"),
+        (
+            {"dataset": {"n_train": 64}, "probe": {"knn_k": 65}},
+            "probe.knn_k: must be <= dataset.n_train",
+        ),
         ({"probe": {"epochs": 1001}}, "probe.epochs"),
         ({"probe": {"knn_temperature": 0.0}}, "probe.knn_temperature"),
     ]

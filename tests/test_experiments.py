@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from conlab import experiments
 from conlab.config import ConfigError, with_train
 from conlab.experiments import (
     compare_grid,
@@ -52,20 +51,6 @@ def test_grid_validates_inputs(small_cfg, small_dataset):
         compare_grid(small_dataset, small_cfg, ("unicon",), (1.5,), (0,))
 
 
-@pytest.fixture()
-def pretrain_calls(monkeypatch):
-    """The seed of each cell the grid starts to train, in order."""
-    calls = []
-    real_pretrain = experiments.pretrain
-
-    def counting_pretrain(dataset, cfg):
-        calls.append(cfg.train.seed)
-        return real_pretrain(dataset, cfg)
-
-    monkeypatch.setattr(experiments, "pretrain", counting_pretrain)
-    return calls
-
-
 def test_grid_checks_every_cell_before_training(
     small_cfg, small_dataset, pretrain_calls
 ):
@@ -87,6 +72,15 @@ def test_grid_refuses_a_dataset_its_config_does_not_name(
         "dataset.mean_radius: config has 2.0, file has 3.0",
         "dataset.n_train: config has 120, file has 240",
     ]
+    assert pretrain_calls == []
+
+
+def test_grid_refuses_arrays_their_spec_does_not_give(
+    small_cfg, misshapen_dataset, pretrain_calls
+):
+    cfg = with_train(small_cfg, epochs=1)
+    with pytest.raises(ConfigError, match="dataset array 'train_x' has shape"):
+        compare_grid(misshapen_dataset, cfg, ("unicon",), (1.0,), (0,))
     assert pretrain_calls == []
 
 

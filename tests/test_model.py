@@ -35,12 +35,12 @@ def small_params(seed=0, input_dim=7, trunk=(10, 6), proj_hidden=6, embed=5):
 def test_init_shapes_and_zero_biases():
     p = small_params()
     assert [w.shape for w, _ in p.trunk] == [(7, 10), (10, 6)]
-    assert [w.shape for w, _ in p.proj] == [(6, 6), (6, 5)]
-    for _, b in (*p.trunk, *p.proj):
+    assert [w.shape for w, _ in p.layers[-2:]] == [(6, 6), (6, 5)]
+    for _, b in p.layers:
         assert np.array_equal(b, np.zeros_like(b))
-    assert p.layers == (*p.trunk, *p.proj)
+    assert p.layers == (*p.trunk, *p.layers[-2:])
     assert p.input_dim == 7
-    assert p.embed_dim == 5
+    assert p.layers[-1][0].shape[1] == 5
 
 
 def test_init_deterministic_per_stream():
@@ -51,7 +51,7 @@ def test_init_deterministic_per_stream():
 def test_init_fan_in_scaling():
     p = init_params((100, 50, 50, 8), Rng(0).stream("init"))
     w_wide, _ = p.trunk[0]  # fan_in 100
-    w_narrow, _ = p.proj[0]  # fan_in 50
+    w_narrow, _ = p.layers[-2]  # fan_in 50
     assert np.abs(w_wide).max() <= np.sqrt(6.0 / 100) + 1e-12
     assert np.abs(w_narrow).max() <= np.sqrt(6.0 / 50) + 1e-12
     # the narrower fan-in really uses its larger range

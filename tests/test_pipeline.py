@@ -378,6 +378,19 @@ def test_pretrain_refuses_a_dataset_its_config_does_not_name(small_cfg, small_da
     assert rows == []
 
 
+def test_pretrain_refuses_arrays_their_spec_does_not_give(small_cfg, misshapen_dataset):
+    # the schedule comes from the spec: cut rows would index past the end of
+    # the training set, and doubled rows would train on the first half alone
+    rows = []
+    with pytest.raises(ConfigError) as info:
+        pretrain(misshapen_dataset, small_cfg, step_callback=rows.append)
+    assert [p.split(" has ")[0] for p in info.value.problems] == [
+        "dataset array 'train_x'",
+        "dataset array 'train_y'",
+    ]
+    assert rows == []
+
+
 def test_pretrain_divergence_detected(small_cfg, small_dataset):
     cfg = with_train(small_cfg, lr=1e12, epochs=2)
     with pytest.raises(DivergenceError, match="divergence at step"):

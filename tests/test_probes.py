@@ -1,11 +1,12 @@
 """Linear and kNN evaluation on frozen features."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conlab.config import ProbeConfig
+from conlab.config import ConfigError, ProbeConfig, with_train
 from conlab.model import init_params, trunk_features
 from conlab.numerics import Rng
 from conlab.probes import (
@@ -327,7 +328,7 @@ def test_knn_memory_stays_within_blocks():
 
 def test_run_probes_on_untrained_encoder(small_cfg, small_dataset):
     params = init_params(small_cfg.layer_dims, Rng(0).stream("init"))
-    res = run_probes(params, small_dataset, small_cfg.probe)
+    res = run_probes(params, small_dataset, small_cfg)
     assert 0.0 <= res.linear_top1 <= 1.0
     assert 0.0 <= res.knn_top1 <= 1.0
     # random projections of well-separated blobs are still far above chance
@@ -336,6 +337,46 @@ def test_run_probes_on_untrained_encoder(small_cfg, small_dataset):
 
 def test_run_probes_deterministic(small_cfg, small_dataset):
     params = init_params(small_cfg.layer_dims, Rng(1).stream("init"))
-    a = run_probes(params, small_dataset, small_cfg.probe, seed=2)
-    b = run_probes(params, small_dataset, small_cfg.probe, seed=2)
+    a = run_probes(params, small_dataset, with_train(small_cfg, seed=2))
+    b = run_probes(params, small_dataset, with_train(small_cfg, seed=2))
     assert a == b
+
+
+def test_run_probes_seeds_the_linear_probe_with_the_run_seed(small_cfg, small_dataset):
+    # the linear probe's shuffle follows the run seed; the kNN vote has none
+    params = init_params(small_cfg.layer_dims, Rng(0).stream("init"))
+    scores = {
+        seed: run_probes(params, small_dataset, with_train(small_cfg, seed=seed))
+        for seed in (2, 3)
+    }
+    assert (scores[2].linear_top1, scores[2].knn_top1) == (87 / 90, 87 / 90)
+    assert (scores[3].linear_top1, scores[3].knn_top1) == (86 / 90, 87 / 90)
+
+
+def test_run_probes_refuses_a_dataset_its_config_does_not_name(
+    small_cfg, small_dataset
+):
+    spec = dataclasses.replace(small_cfg.dataset, n_train=120, mean_radius=2.0)
+    cfg = dataclasses.replace(small_cfg, dataset=spec)
+    params = init_params(cfg.layer_dims, Rng(0).stream("init"))
+    with pytest.raises(ConfigError) as info:
+        run_probes(params, small_dataset, cfg)
+    assert info.value.problems == [
+        "dataset.mean_radius: config has 2.0, file has 3.0",
+        "dataset.n_train: config has 120, file has 240",
+    ]
+
+
+def test_run_probes_refuses_arrays_their_spec_does_not_give(
+    small_cfg, misshapen_dataset
+):
+    params = init_params(small_cfg.layer_dims, Rng(0).stream("init"))
+    rows = misshapen_dataset.train_y.size
+    with pytest.raises(ConfigError) as info:
+        run_probes(params, misshapen_dataset, small_cfg)
+    assert info.value.problems == [
+        f"dataset array 'train_x' has shape ({rows}, 8) and dtype float64, "
+        "its spec implies (240, 8) and float64",
+        f"dataset array 'train_y' has shape ({rows},) and dtype int64, "
+        "its spec implies (240,) and int64",
+    ]
