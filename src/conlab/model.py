@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEGENERATE_NORM, DegenerateVectorError, Rng
+from .numerics import DEGENERATE_NORM, DegenerateVectorError, Rng, serial_matmul
 
 Layer = tuple[np.ndarray, np.ndarray]  # (weights (in, out), bias (out,))
 
@@ -154,10 +154,15 @@ def _as_inputs(params: EncoderParams, x: np.ndarray) -> np.ndarray:
 
 
 def trunk_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Trunk output (post-ReLU, not normalized); the representation probes use."""
+    """Trunk output (post-ReLU, not normalized); the representation probes use.
+
+    Unlike a training batch, ``x`` may be a whole split, so each layer's
+    product goes through ``serial_matmul`` to stay on the calling thread."""
     a = _as_inputs(params, x)
     for w, b in params.trunk:
-        a = np.maximum(a @ w + b, 0.0)
+        a = serial_matmul(a, w)
+        a += b
+        np.maximum(a, 0.0, out=a)
     return a
 
 

@@ -1,9 +1,9 @@
 """Small dense numerics shared by every module.
 
 Everything runs in 64-bit floats. The exported kernels are the numerically
-delicate pieces (log-sum-exp, softplus, sigmoid) plus a seeded, splittable
-random number generator. All functions are pure; `Rng` instances are
-single-owner.
+delicate pieces (log-sum-exp, softplus, sigmoid), a matrix product that stays
+on the calling thread, and a seeded, splittable random number generator. All
+functions are pure; `Rng` instances are single-owner.
 """
 
 from __future__ import annotations
@@ -13,6 +13,43 @@ import hashlib
 import numpy as np
 
 DEGENERATE_NORM = 1e-12
+
+# OpenBLAS 0.3.31 runs an (m, k) @ (k, n) product on the calling thread while
+# m * n * k stays at or below this; 4 x 5000 x 32 stayed there, 8 x 5000 x 32
+# went to its thread pool, whose woken worker then spins on a second core.
+SERIAL_PRODUCT_SIZE = 2**19
+
+
+def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of at most ``size`` rows covering
+    ``n`` rows. Where the last block would be a lone row, it takes a row from
+    the block before it: numpy multiplies a single row with gemv, which may
+    round differently from the gemm of a many-row product."""
+    starts = list(range(0, n, size))
+    if size > 1 and n > size and n % size == 1:
+        starts[-1] -= 1
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _product_rows(k: int, n: int) -> int:
+    """Rows of an (rows, k) @ (k, n) block within ``SERIAL_PRODUCT_SIZE``
+    multiply-adds, a multiple of 8 from 8 rows on, and at least one."""
+    rows = max(1, SERIAL_PRODUCT_SIZE // max(1, k * n))
+    return rows - rows % 8 if rows >= 8 else rows
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``a @ b`` for 2-d arrays, in row blocks of ``a`` of ``_product_rows``
+    rows, so that BLAS computes every block on the calling thread. A single
+    row may exceed the bound. ``out``, if given, is a C-contiguous (m, n)
+    array to write into."""
+    m, k = a.shape
+    n = b.shape[1]
+    if out is None:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    for lo, hi in row_blocks(m, _product_rows(k, n)):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
 class DegenerateVectorError(ValueError):

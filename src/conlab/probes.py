@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ProbeConfig, RunConfig
 from .model import EncoderParams, trunk_features
-from .numerics import Rng
+from .numerics import Rng, row_blocks, serial_matmul
 from .pipeline import Dataset, check_dataset_matches
 
 
@@ -45,6 +45,52 @@ def _check_labels(labels) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _standardized(train_features, test_features):
+    """Both splits standardized with train-split statistics; a column with
+    no spread keeps its scale."""
+    train_features = np.asarray(train_features, dtype=np.float64)
+    mu = train_features.mean(axis=0)
+    sd = train_features.std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    xtr = train_features - mu
+    xtr /= sd
+    xte = np.asarray(test_features, dtype=np.float64) - mu
+    xte /= sd
+    return xtr, xte
+
+
+def _fit_softmax(x: np.ndarray, labels: np.ndarray, cfg: ProbeConfig, seed: int):
+    """Weights and bias of softmax regression on the rows of ``x``: plain
+    minibatch gradient descent from zero, the batches cut from each epoch's
+    shuffle of the rows, which is derived from ``seed``.
+
+    Each epoch gathers its shuffled rows once, and the flat position of each
+    row's true class within its batch's (rows, classes) probabilities, so a
+    step subtracts the one-hot targets by position. A one-hot array would
+    hold n_train x n_classes floats, which no budget bounds."""
+    n, d = x.shape
+    batch = cfg.batch_size
+    n_classes = int(labels.max()) + 1
+    row_starts = np.arange(n) % batch * n_classes
+    w = np.zeros((d, n_classes))
+    b = np.zeros(n_classes)
+    root = Rng(seed).stream("probe")
+    for epoch in range(cfg.epochs):
+        order = root.stream("shuffle", epoch).permutation(n)
+        xs, hot = x[order], row_starts + labels[order]
+        for start in range(0, n, batch):
+            xb = xs[start : start + batch]
+            logits = xb @ w + b
+            logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+            p = np.exp(logits, out=logits)
+            p /= np.add.reduce(p, axis=1, keepdims=True)
+            p.ravel()[hot[start : start + batch]] -= 1.0  # p is contiguous
+            p /= xb.shape[0]
+            w -= cfg.lr * (xb.T @ p)
+            b -= cfg.lr * np.add.reduce(p, axis=0)
+    return w, b
+
+
 def linear_probe(
     train_features: np.ndarray,
     train_labels: np.ndarray,
@@ -60,38 +106,12 @@ def linear_probe(
     weights start at zero — the objective is convex — and the only
     randomness is the epoch shuffle, derived from ``seed``.
     """
-    train_features = np.asarray(train_features, dtype=np.float64)
-    test_features = np.asarray(test_features, dtype=np.float64)
     train_labels = _check_labels(train_labels)
     test_labels = _check_labels(test_labels)
     if np.unique(train_labels).size < 2:
         raise ValueError("single-class input")
-    n_classes = int(train_labels.max()) + 1
-
-    mu = train_features.mean(axis=0)
-    sd = train_features.std(axis=0)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    xtr = (train_features - mu) / sd
-    xte = (test_features - mu) / sd
-
-    n, d = xtr.shape
-    w = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    root = Rng(seed).stream("probe")
-    for epoch in range(cfg.epochs):
-        order = root.stream("shuffle", epoch).permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = xtr[idx]
-            logits = xb @ w + b
-            logits -= logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(idx.size), train_labels[idx]] -= 1.0
-            p /= idx.size
-            w -= cfg.lr * (xb.T @ p)
-            b -= cfg.lr * p.sum(axis=0)
-
+    xtr, xte = _standardized(train_features, test_features)
+    w, b = _fit_softmax(xtr, train_labels, cfg, seed)
     pred = np.argmax(xte @ w + b, axis=1)
     return float(np.mean(pred == test_labels))
 
@@ -102,19 +122,31 @@ def _unit_rows_safe(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(norms, 1e-30)
 
 
-# Test rows per similarity block: 128 x 5000 float64 is 5 MB, which stays in
-# cache, and the probe's memory does not grow with the number of test rows.
-_KNN_BLOCK = 128
+# A similarity block holds at most this many entries (1 MB, which stays in
+# cache), so the probe's memory does not grow with the number of test rows.
+_KNN_BLOCK_ELEMENTS = 2**17
 
 
-def _row_blocks(n: int):
-    """(start, stop) of each block of ``_KNN_BLOCK`` rows. A lone last row
-    joins the block before it: numpy multiplies a single row with gemv,
-    which may round differently from the gemm of a many-row product."""
-    starts = list(range(0, n, _KNN_BLOCK))
-    if n > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
+def _knn_block_rows(n_train: int) -> int:
+    """Test rows per similarity block: as many as ``_KNN_BLOCK_ELEMENTS``
+    allows, rounded down to a multiple of 8 and never fewer than 8."""
+    return max(8, _KNN_BLOCK_ELEMENTS // n_train // 8 * 8)
+
+
+def _similarity_blocks(test_u: np.ndarray, train_u: np.ndarray):
+    """``(lo, hi, test_u[lo:hi] @ train_u.T)`` for consecutive blocks of
+    ``_knn_block_rows`` test rows, each block written into one reused buffer
+    by ``serial_matmul`` against a contiguous (width, n_train) copy of the
+    train rows. A lone test row is multiplied as it stands: numpy sends it to
+    gemv, which rounds as the full product does only in that layout."""
+    if test_u.shape[0] == 1:
+        yield 0, 1, test_u @ train_u.T
+        return
+    train_t = np.ascontiguousarray(train_u.T)
+    del train_u  # the caller holds no other reference: one copy at a time
+    block = np.empty((_knn_block_rows(train_t.shape[1]), train_t.shape[1]))
+    for lo, hi in row_blocks(test_u.shape[0], block.shape[0]):
+        yield lo, hi, serial_matmul(test_u[lo:hi], train_t, out=block[: hi - lo])
 
 
 def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
@@ -150,11 +182,23 @@ def knn_probe(
     """Cosine-similarity k-nearest-neighbor vote; returns test top-1.
 
     Neighbors are the k most similar train rows; on equal similarity the
-    smaller train index wins. Test rows go in blocks of ``_KNN_BLOCK``, so
-    the whole test x train similarity matrix is never held. With
-    ``temperature`` set, neighbor votes are weighted by
-    exp(similarity / temperature); otherwise each neighbor counts once.
-    Vote ties go to the smaller class index.
+    smaller train index wins. With ``temperature`` set, neighbor votes are
+    weighted by exp(similarity / temperature); otherwise each neighbor
+    counts once. Vote ties go to the smaller class index.
+
+    Test rows go in blocks of ``_knn_block_rows(n_train)``, so the whole
+    test x train similarity matrix is never held, and each block is
+    multiplied by ``serial_matmul`` against one contiguous (width, n_train)
+    copy of the train rows, on the calling thread. The result equals the
+    full-matrix probe only where BLAS rounds every row of those products as
+    it rounds that row of the full product. On OpenBLAS 0.3.31 (SkylakeX
+    dgemm) that holds at the shapes conlab probes: 5000 train rows of width
+    32, and 240, 192 or 48 of width 12. It does not hold everywhere, and the
+    neighbor order can then differ on near ties. At 203 and 339 train rows
+    the last ``n_train % 8`` columns can differ in the last bit. So can a
+    product of a few test rows against a few hundred train rows of width 32
+    or more. Where n_train x width exceeds 2^18, each sub-product is a
+    single row and goes to gemv; at 5000 x 64 every column can differ.
     """
     train_labels = _check_labels(train_labels)
     test_labels = _check_labels(test_labels)
@@ -162,12 +206,10 @@ def knn_probe(
     if not 1 <= k <= n_train:
         raise ValueError(f"k invalid: need 1 <= k <= {n_train}, got {k}")
 
-    train_u = _unit_rows_safe(train_features)
     test_u = _unit_rows_safe(test_features)
     neighbors = np.empty((test_u.shape[0], k), dtype=np.intp)
     top = np.empty(neighbors.shape)
-    for lo, hi in _row_blocks(test_u.shape[0]):
-        sims = test_u[lo:hi] @ train_u.T
+    for lo, hi, sims in _similarity_blocks(test_u, _unit_rows_safe(train_features)):
         neighbors[lo:hi] = _nearest(sims, k)
         top[lo:hi] = np.take_along_axis(sims, neighbors[lo:hi], axis=1)
     neighbor_labels = train_labels[neighbors]

@@ -8,6 +8,7 @@ PASS/FAIL line per criterion into the terminal summary via the hook below.
 from __future__ import annotations
 
 import dataclasses
+import resource
 import time
 
 import numpy as np
@@ -37,12 +38,25 @@ def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
 
 
-# wall and process CPU clocks when the session starts
+def _cpu_s(who) -> float:
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _off_main_thread_s() -> float:
+    """Process CPU spent outside the calling thread, where a woken BLAS
+    worker runs: the tests themselves run on the main thread."""
+    return _cpu_s(resource.RUSAGE_SELF) - _cpu_s(resource.RUSAGE_THREAD)
+
+
+# wall, process CPU and off-main-thread CPU clocks when the session starts
 _START: list[float] = []
 
 
 def pytest_sessionstart(session):
     _START[:] = [time.perf_counter(), time.process_time()]
+    if hasattr(resource, "RUSAGE_THREAD"):
+        _START.append(_off_main_thread_s())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -50,11 +64,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-    # process CPU counts every thread, so a BLAS worker spinning beside the
-    # tests shows as CPU well above wall time on a single-threaded suite
     wall = time.perf_counter() - _START[0]
     cpu = time.process_time() - _START[1]
-    terminalreporter.write_line(f"suite: wall {wall:.1f} s, process CPU {cpu:.1f} s")
+    line = f"suite: wall {wall:.1f} s, process CPU {cpu:.1f} s"
+    if len(_START) > 2:
+        line += f", off the main thread {_off_main_thread_s() - _START[2]:.1f} s"
+    terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def thread_cpu():
+    """``measure(fn)`` calls ``fn()`` and returns the CPU seconds spent on
+    the calling thread and on all other threads of the process meanwhile."""
+
+    def measure(fn):
+        time.sleep(0.5)  # a worker woken by an earlier test goes back to sleep
+        process, thread = _cpu_s(resource.RUSAGE_SELF), _cpu_s(resource.RUSAGE_THREAD)
+        fn()
+        thread = _cpu_s(resource.RUSAGE_THREAD) - thread
+        return thread, _cpu_s(resource.RUSAGE_SELF) - process - thread
+
+    return measure
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conlab.numerics import Rng, log_sum_exp, sigmoid, softplus
+from conlab.numerics import (
+    SERIAL_PRODUCT_SIZE,
+    Rng,
+    _product_rows,
+    log_sum_exp,
+    serial_matmul,
+    sigmoid,
+    softplus,
+)
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -177,3 +185,46 @@ def test_rng_integers_and_uniform_ranges():
     assert ints.min() >= 2 and ints.max() < 7
     u = Rng(9).uniform(-0.5, 0.25, size=1000)
     assert u.min() >= -0.5 and u.max() < 0.25
+
+
+# ---------------------------------------------------------------------------
+# row blocks and the calling-thread product
+
+
+@pytest.mark.parametrize(
+    "k, n", [(20, 64), (64, 32), (32, 5000), (12, 240), (1, 1), (7, 2**19)]
+)
+def test_product_rows_stay_within_the_serial_size(k, n):
+    rows = _product_rows(k, n)
+    assert rows >= 1
+    assert rows * k * n <= SERIAL_PRODUCT_SIZE or rows == 1
+    assert rows < 8 or rows % 8 == 0
+    assert (rows + 8 if rows >= 8 else rows + 1) * k * n > SERIAL_PRODUCT_SIZE
+
+
+def test_product_rows_at_the_shapes_conlab_multiplies():
+    # the default trunk (20 -> 64 -> 32) on a split, and kNN against 5000
+    # train rows of width 32, which took 128 rows per product before
+    assert (_product_rows(20, 64), _product_rows(64, 32)) == (408, 256)
+    assert _product_rows(32, 5000) == 3
+    assert _product_rows(32, 2**20) == 1
+
+
+@pytest.mark.parametrize(
+    "m, k, n",
+    [
+        (5000, 20, 64),
+        (5000, 64, 32),
+        (1000, 32, 5000),
+        (409, 20, 64),
+        (1, 8, 3),
+        (0, 4, 5),
+    ],
+)
+def test_serial_matmul_equals_the_whole_product(m, k, n):
+    rng = np.random.default_rng(m + k + n)
+    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    assert np.array_equal(serial_matmul(a, b), a @ b)
+    out = np.full((m, n), np.nan)
+    assert serial_matmul(a, b, out=out) is out
+    assert np.array_equal(out, a @ b)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import resource
-import time
 from itertools import combinations
 
 import numpy as np
@@ -419,23 +418,14 @@ def test_pretrain_loss_descends():
     assert last < first - 0.5
 
 
-def _cpu_s(who):
-    usage = resource.getrusage(who)
-    return usage.ru_utime + usage.ru_stime
-
-
 @pytest.mark.skipif(
     not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times"
 )
-def test_pretrain_keeps_blas_on_the_calling_thread():
+def test_pretrain_keeps_blas_on_the_calling_thread(thread_cpu):
     # An idle OpenBLAS worker spins while it waits, and steps come about 1 ms
     # apart, so one woken by the queue product would burn a second core for
     # the whole run. Default model and train shapes, 300 steps.
     cfg = RunConfig(dataset=DatasetSpec(n_train=640))
     dataset = generate_dataset(cfg.dataset)
-    time.sleep(0.5)  # a worker woken by an earlier test goes back to sleep
-    process, thread = _cpu_s(resource.RUSAGE_SELF), _cpu_s(resource.RUSAGE_THREAD)
-    pretrain(dataset, cfg)
-    thread = _cpu_s(resource.RUSAGE_THREAD) - thread
-    others = _cpu_s(resource.RUSAGE_SELF) - process - thread
-    assert others < 0.1 * thread, f"other threads {others:.2f} s, main {thread:.2f} s"
+    main, others = thread_cpu(lambda: pretrain(dataset, cfg))
+    assert others < 0.1 * main, f"other threads {others:.2f} s, main {main:.2f} s"

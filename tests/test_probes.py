@@ -1,18 +1,29 @@
 """Linear and kNN evaluation on frozen features."""
 
 import dataclasses
+import resource
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conlab.config import ConfigError, ProbeConfig, with_train
+from conlab.config import (
+    ELEMENT_BUDGET,
+    ConfigError,
+    ProbeConfig,
+    RunConfig,
+    with_train,
+)
 from conlab.model import init_params, trunk_features
-from conlab.numerics import Rng
+from conlab.numerics import Rng, row_blocks
+from conlab.pipeline import generate_dataset
 from conlab.probes import (
-    _KNN_BLOCK,
+    _KNN_BLOCK_ELEMENTS,
+    _fit_softmax,
+    _knn_block_rows,
     _nearest,
-    _row_blocks,
+    _similarity_blocks,
+    _standardized,
     _unit_rows_safe,
     extract_features,
     knn_probe,
@@ -40,6 +51,18 @@ def test_extract_features_is_trunk_output():
     params = init_params((7, 10, 6, 6, 5), Rng(0).stream("init"))
     x = Rng(1).stream("x").normal(size=(12, 7))
     assert np.array_equal(extract_features(params, x), trunk_features(params, x))
+
+
+def test_extract_features_equals_the_unsplit_product():
+    # the trunk's products go in row blocks; on the default encoder and a
+    # default-size split they must round as the whole product does
+    cfg = RunConfig()
+    params = init_params(cfg.layer_dims, Rng(0).stream("init"))
+    x = Rng(1).stream("x").normal(size=(5000, 20))
+    a = x
+    for w, b in params.trunk:
+        a = np.maximum(a @ w + b, 0.0)
+    assert np.array_equal(extract_features(params, x), a)
 
 
 def test_extract_features_shape_mismatch():
@@ -97,6 +120,59 @@ def test_linear_probe_does_not_mutate_inputs():
     before = f_tr.copy()
     linear_probe(f_tr, y_tr, f_te, y_te, PROBE_CFG)
     assert np.array_equal(f_tr, before)
+
+
+def fit_oracle(train_f, train_y, test_f, cfg, seed):
+    """The linear probe as first written: a fancy-indexed batch per step and
+    the true class's −1 subtracted in place. Returns both standardized
+    splits, the weights and the bias."""
+    mu = train_f.mean(axis=0)
+    sd = train_f.std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    xtr = (train_f - mu) / sd
+    xte = (test_f - mu) / sd
+    n, d = xtr.shape
+    w = np.zeros((d, int(train_y.max()) + 1))
+    b = np.zeros(w.shape[1])
+    root = Rng(seed).stream("probe")
+    for epoch in range(cfg.epochs):
+        order = root.stream("shuffle", epoch).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb = xtr[idx]
+            logits = xb @ w + b
+            logits -= logits.max(axis=1, keepdims=True)
+            p = np.exp(logits)
+            p /= p.sum(axis=1, keepdims=True)
+            p[np.arange(idx.size), train_y[idx]] -= 1.0
+            p /= idx.size
+            w -= cfg.lr * (xb.T @ p)
+            b -= cfg.lr * p.sum(axis=0)
+    return xtr, xte, w, b
+
+
+@pytest.mark.parametrize(
+    "n, d, classes, cfg",
+    [
+        (5000, 32, 5, ProbeConfig()),
+        (5000, 32, 50, ProbeConfig()),
+        (240, 12, 3, ProbeConfig(epochs=8, lr=0.5, batch_size=64, knn_k=5)),
+        (203, 7, 4, PROBE_CFG),
+    ],
+)
+def test_linear_probe_weights_equal_the_first_loop(n, d, classes, cfg):
+    # the default probe, the test configs' probe, and partial last batches
+    rng = np.random.default_rng(n + d + classes)
+    y = rng.permutation(np.arange(n) % classes)
+    centers = rng.normal(size=(classes, d))
+    f_tr = np.abs(centers[y] + rng.normal(size=(n, d)))
+    f_te = np.abs(rng.normal(size=(n // 5, d)))
+    f_tr[:, 0] = 1.5  # a column with no spread
+    xtr, xte, w, b = fit_oracle(f_tr, y, f_te, cfg, seed=3)
+    got_tr, got_te = _standardized(f_tr, f_te)
+    assert np.array_equal(got_tr, xtr) and np.array_equal(got_te, xte)
+    got_w, got_b = _fit_softmax(got_tr, y, cfg, seed=3)
+    assert np.array_equal(got_w, w) and np.array_equal(got_b, b)
 
 
 def test_linear_probe_single_class_rejected():
@@ -233,7 +309,8 @@ def knn_case(seed, n_train, n_test, d):
 
 
 # (seed, n_train, n_test, d, k): k = 1, a middle k and k = n_train; n_test
-# of 1, below the block, a block plus one row, and not a block multiple
+# of 1, within one block, a block plus one row (500 train rows give 256-row
+# blocks) and several blocks (2000 give 64)
 KNN_CASES = [
     (0, 240, 90, 6, 1),
     (1, 240, 90, 6, 15),
@@ -242,7 +319,8 @@ KNN_CASES = [
     (4, 203, 300, 5, 7),
     (5, 64, 129, 3, 64),
     (6, 500, 257, 8, 20),
-    (7, 37, 2 * _KNN_BLOCK, 4, 1),
+    (7, 37, 256, 4, 1),
+    (8, 2000, 150, 8, 15),
 ]
 
 
@@ -274,12 +352,28 @@ def test_knn_tie_at_the_cut_keeps_smaller_indices():
 
 
 def test_row_blocks_cover_rows_without_a_lone_last_row():
-    assert list(_row_blocks(0)) == []
-    assert list(_row_blocks(1)) == [(0, 1)]
-    b = _KNN_BLOCK
-    assert list(_row_blocks(b)) == [(0, b)]
-    assert list(_row_blocks(b + 1)) == [(0, b + 1)]
-    assert list(_row_blocks(2 * b + 5)) == [(0, b), (b, 2 * b), (2 * b, 2 * b + 5)]
+    assert row_blocks(0, 24) == []
+    assert row_blocks(1, 24) == [(0, 1)]
+    assert row_blocks(24, 24) == [(0, 24)]
+    assert row_blocks(25, 24) == [(0, 23), (23, 25)]
+    assert row_blocks(2 * 24 + 5, 24) == [(0, 24), (24, 48), (48, 53)]
+    assert row_blocks(16, 3) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 14), (14, 16)]
+    for n in range(60):
+        for size in (1, 2, 3, 8, 24):
+            blocks = row_blocks(n, size)
+            assert [lo for lo, _ in blocks] + [n] == [0] + [hi for _, hi in blocks]
+            assert all(1 <= hi - lo <= size for lo, hi in blocks)
+            if n > 1 and size > 1:  # at size 2 the lone row moves to the front
+                assert blocks[-1][1] - blocks[-1][0] > 1
+
+
+def test_knn_block_rows_stay_within_the_element_budget():
+    # 128 rows against 2**20 train rows was 2 x ELEMENT_BUDGET
+    assert (_knn_block_rows(5000), _knn_block_rows(240)) == (24, 544)
+    for n_train in range(48, 2**20 + 1):
+        rows = _knn_block_rows(n_train)
+        assert rows >= 8 and rows % 8 == 0
+        assert rows * n_train <= max(_KNN_BLOCK_ELEMENTS, 8 * n_train) <= ELEMENT_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -290,24 +384,32 @@ def test_row_blocks_cover_rows_without_a_lone_last_row():
         (60, 192, 12),
         (24, 48, 12),
         (1, 240, 12),
-        (_KNN_BLOCK + 1, 240, 12),
+        (129, 240, 12),
+        (25, 5000, 32),
+        (545, 240, 12),
     ],
 )
 def test_knn_block_similarities_equal_full_product(n_test, n_train, width):
     # The probe's output equals the full-matrix version only if BLAS rounds a
-    # row of a block product as it rounds that row of the full product.
+    # row of each sub-product as it rounds that row of the full product.
     # Checked at the shapes conlab probes (the default dataset and the test
-    # configs), and with one row past a block, which alone would go to gemv.
+    # configs), with a single test row, which goes to gemv, and one row past
+    # a block, which would leave a lone row (25 at 5000 train rows, 545 at
+    # 240).
     rng = np.random.default_rng(n_test)
     test_u = _unit_rows_safe(rng.normal(size=(n_test, width)))
     train_u = _unit_rows_safe(rng.normal(size=(n_train, width)))
     full = test_u @ train_u.T
-    for lo, hi in _row_blocks(n_test):
-        assert np.array_equal(test_u[lo:hi] @ train_u.T, full[lo:hi])
+    stops = [0]
+    for lo, hi, sims in _similarity_blocks(test_u, train_u):
+        assert lo == stops[-1] and np.array_equal(sims, full[lo:hi])
+        stops.append(hi)
+    assert stops[-1] == n_test
 
 
 def test_knn_memory_stays_within_blocks():
-    # the full 1000 x 5000 similarity matrix alone is 40 MB, its argsort 40 MB
+    # the full 1000 x 5000 similarity matrix alone is 40 MB, its argsort 40 MB,
+    # and 128-row blocks took 12 MB
     rng = np.random.default_rng(0)
     f_tr = rng.normal(size=(5000, 32))
     f_te = rng.normal(size=(1000, 32))
@@ -319,7 +421,8 @@ def test_knn_memory_stays_within_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    # unit rows and their transposed copy 2.6 MB, a 24-row block 1 MB
+    assert peak < 5e6
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +483,36 @@ def test_run_probes_refuses_arrays_their_spec_does_not_give(
         f"dataset array 'train_y' has shape ({rows},) and dtype int64, "
         "its spec implies (240,) and int64",
     ]
+
+
+@pytest.fixture(scope="module")
+def default_probe_inputs():
+    """An untrained default encoder and the default dataset: the shapes
+    every default run probes."""
+    cfg = RunConfig()
+    params = init_params(cfg.layer_dims, Rng(0).stream("init"))
+    return params, generate_dataset(cfg.dataset), cfg
+
+
+@pytest.mark.skipif(
+    not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times"
+)
+def test_run_probes_keeps_blas_on_the_calling_thread(default_probe_inputs, thread_cpu):
+    # Whole-split feature products and kNN similarity blocks above OpenBLAS's
+    # serial size wake its worker, which then spins through the linear probe.
+    params, dataset, cfg = default_probe_inputs
+    main, others = thread_cpu(lambda: run_probes(params, dataset, cfg))
+    assert others < 0.1 * main, f"other threads {others:.2f} s, main {main:.2f} s"
+
+
+def test_run_probes_memory_at_default_shapes(default_probe_inputs):
+    # two splits of features, their standardized and unit-row copies and one
+    # similarity block; full-split products and 128-row blocks took 13 MB
+    params, dataset, cfg = default_probe_inputs
+    tracemalloc.start()
+    try:
+        run_probes(params, dataset, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
