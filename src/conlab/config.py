@@ -146,6 +146,14 @@ class TrainConfig(_Checked):
     loss: str = "unicon"
     seed: int = 0
 
+    @property
+    def single_positive(self) -> bool:
+        """Only the paired key is a positive: the loss is infonce, or no
+        label is visible. Every loss takes the infonce value on one
+        positive, and ``train_step`` then runs infonce's kernel, so such a
+        run trains bit for bit as infonce at label ratio 0."""
+        return self.loss == "infonce" or self.label_ratio == 0.0
+
     def validate(self) -> list[str]:
         problems = []
         if self.tau <= 0:

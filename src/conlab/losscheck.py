@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ELEMENT_BUDGET
 from .losses import LOSS_KINDS, loss_batch, triplet_pair
 from .numerics import Rng
 
@@ -184,11 +185,21 @@ def check_triplet(rng: Rng, n_rows: int) -> tuple[CheckResult, CheckResult]:
 
 
 def run_losscheck(trials: int = 1000, width: int = 33, seed: int = 0):
-    """The full battery; returns CheckResult rows, all of which must pass."""
+    """The full battery; returns CheckResult rows, all of which must pass.
+
+    The largest arrays are one row's (2 · width, width) finite-difference
+    block and the shift check's (1 + len(SHIFTS)) · trials rows; a size that
+    puts either past ``ELEMENT_BUDGET`` is refused before any check runs."""
     if width < 3:
         raise ValueError("width must be >= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for what, n in (
+        ("2 * width**2", 2 * width * width),
+        (f"{1 + len(SHIFTS)} * trials * width", (1 + len(SHIFTS)) * trials * width),
+    ):
+        if n > ELEMENT_BUDGET:
+            raise ValueError(f"{what} exceeds the budget of {ELEMENT_BUDGET} elements")
     root = Rng(seed).stream("losscheck")
     grad_trials = min(trials, 200)  # FD is the expensive check
     results = []

@@ -219,15 +219,18 @@ def train_step(
     logits = _pair_logits(q, k, state.queue.features)
     logits /= train_cfg.tau
 
-    if train_cfg.loss == "infonce":
-        # Single-positive objective: only the paired key counts, queue
-        # label matches are treated as negatives.
+    if train_cfg.single_positive:
+        # Only the paired key counts: infonce treats queue label matches as
+        # negatives, and at label ratio 0 there are none. Every loss takes
+        # the infonce value on one positive, so this runs infonce's kernel.
+        kind = "infonce"
         targets = np.zeros(logits.shape, dtype=bool)
         targets[:, 0] = True
     else:
+        kind = train_cfg.loss
         targets = build_target(labels, state.queue)
 
-    values, grad_logits = loss_batch(train_cfg.loss, logits, targets)
+    values, grad_logits = loss_batch(kind, logits, targets)
     loss = float(np.mean(values))
 
     grad_q = (grad_logits[:, :1] * k + grad_logits[:, 1:] @ state.queue.features) / (

@@ -138,12 +138,13 @@ def misshapen_dataset(request, small_dataset):
 
 @pytest.fixture()
 def pretrain_calls(monkeypatch):
-    """The seed of each cell a grid starts to train, in order."""
+    """The (loss, label ratio, seed) of each training a grid starts, in
+    order. Cells that share a run add one entry, not one per cell."""
     calls = []
     real_pretrain = conlab.experiments.pretrain
 
     def counting_pretrain(dataset, cfg):
-        calls.append(cfg.train.seed)
+        calls.append((cfg.train.loss, cfg.train.label_ratio, cfg.train.seed))
         return real_pretrain(dataset, cfg)
 
     monkeypatch.setattr(conlab.experiments, "pretrain", counting_pretrain)

@@ -306,6 +306,29 @@ def test_digest_sensitive_to_values():
     assert config_digest(base) != config_digest(with_train(base, lr=0.059))
 
 
+def test_default_digest_is_pinned():
+    # a property such as TrainConfig.single_positive must not enter the digest
+    assert config_digest(RunConfig()) == (
+        "80de67d6b79541e340d36bc2c5376a054a84c697e1b71a95d711aee98f18303d"
+    )
+
+
+@pytest.mark.parametrize(
+    "loss, alpha, single",
+    [
+        ("infonce", 0.0, True),
+        ("infonce", 1.0, True),
+        ("unicon", 0.0, True),
+        ("supcon_in", 0.0, True),
+        ("unicon", 0.5, False),
+        ("supcon_out", 1.0, False),
+        ("unicon_out", 1e-9, False),
+    ],
+)
+def test_single_positive_is_infonce_or_no_visible_label(loss, alpha, single):
+    assert TrainConfig(loss=loss, label_ratio=alpha).single_positive is single
+
+
 def test_run_id_format():
     cfg = with_train(RunConfig(), seed=3)
     rid = run_id(cfg)

@@ -12,6 +12,8 @@ from conlab.experiments import (
     compare_to_dict,
     compare_to_text,
 )
+from conlab.pipeline import pretrain
+from conlab.probes import run_probes
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,34 @@ def test_grid_cells_hold_per_seed_results(tiny_grid):
     assert len(cell.linear) == 2 and len(cell.knn) == 2
     assert all(0.0 <= v <= 1.0 for v in cell.linear + cell.knn)
     assert cell.mean_linear == pytest.approx(sum(cell.linear) / 2)
+
+
+def test_grid_trains_single_positive_cells_once_per_seed(
+    small_cfg, small_dataset, pretrain_calls
+):
+    cfg = with_train(small_cfg, epochs=2)
+    losses, seeds = ("unicon", "supcon_out", "infonce"), (0, 1)
+    seen = []
+    result = compare_grid(
+        small_dataset, cfg, losses, (1.0,), seeds,
+        progress=lambda kind, alpha, seed, res: seen.append((kind, alpha, seed, res)),
+    )
+    # α=0 of every loss and infonce at α=1 share one run per seed
+    assert pretrain_calls == [
+        ("unicon", 0.0, 0), ("unicon", 0.0, 1),
+        ("unicon", 1.0, 0), ("unicon", 1.0, 1),
+        ("supcon_out", 1.0, 0), ("supcon_out", 1.0, 1),
+    ]
+    grid_order = [(k, a, s) for k in losses for a in (0.0, 1.0) for s in seeds]
+    assert [cell[:3] for cell in seen] == grid_order
+    for kind, alpha, seed, res in seen:
+        run_cfg = with_train(cfg, loss=kind, label_ratio=alpha, seed=seed)
+        params = pretrain(small_dataset, run_cfg).params_q
+        oracle = run_probes(params, small_dataset, run_cfg)
+        assert res == oracle, (kind, alpha, seed)
+        i = seeds.index(seed)
+        cell = result.cells[(kind, alpha)]
+        assert (cell.linear[i], cell.knn[i]) == (oracle.linear_top1, oracle.knn_top1)
 
 
 def test_grid_deterministic(small_cfg, small_dataset):

@@ -3,14 +3,70 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
+import conlab.losscheck
+from conlab.cli import main
+from conlab.config import ELEMENT_BUDGET
 from conlab.losscheck import (
+    SHIFTS,
+    CheckResult,
     check_grad_fd,
     format_check_table,
     naive_unicon_values,
     run_losscheck,
 )
 from conlab.numerics import Rng
+
+CHECKS = [name for name in conlab.losscheck.__all__ if name.startswith("check_")]
+
+
+@pytest.fixture()
+def checks_run(monkeypatch):
+    """Replace every check of the battery by a stub that records its name,
+    so a size can be tried without allocating it."""
+    ran = []
+
+    def stub(name):
+        def check(*args):
+            ran.append(name)
+            row = CheckResult("unicon", name, 1, 0.0, 0.0)
+            return (row, row) if name == "check_triplet" else row
+
+        return check
+
+    for name in CHECKS:
+        monkeypatch.setattr(conlab.losscheck, name, stub(name))
+    return ran
+
+
+# the largest allowed sizes: a (2 * width, width) finite-difference block of
+# one row, and the shift check's stacked (1 + len(SHIFTS)) * trials rows
+MAX_WIDTH = 5792
+MAX_TRIALS_AT_33 = ELEMENT_BUDGET // ((1 + len(SHIFTS)) * 33)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--width", str(MAX_WIDTH + 1)],
+        ["--width", "100000000", "--trials", "5"],
+        ["--trials", str(MAX_TRIALS_AT_33 + 1), "--width", "33"],
+        ["--trials", str(ELEMENT_BUDGET // 33 + 1), "--width", "33"],
+    ],
+)
+def test_losscheck_refuses_a_size_past_the_budget_before_any_check(
+    checks_run, capsys, argv
+):
+    assert main(["losscheck", *argv]) == 2
+    assert checks_run == []
+    assert f"budget of {ELEMENT_BUDGET} elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials, width", [(1, MAX_WIDTH), (MAX_TRIALS_AT_33, 33)])
+def test_losscheck_runs_the_largest_sizes_within_the_budget(checks_run, trials, width):
+    run_losscheck(trials=trials, width=width)
+    assert set(checks_run) == set(CHECKS)
 
 
 def test_all_checks_pass_and_cover_every_loss():

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import conlab.pipeline
 from conlab.config import (
     AugConfig,
     ConfigError,
@@ -17,6 +18,7 @@ from conlab.config import (
     TrainConfig,
     with_train,
 )
+from conlab.losses import LOSS_KINDS
 from conlab.model import leaves, params_equal
 from conlab.numerics import Rng
 from conlab.pipeline import (
@@ -360,6 +362,54 @@ def test_pretrain_alpha_zero_unicon_equals_infonce(small_cfg, small_dataset, on_
     on_loss(check)
     pretrain(small_dataset, cfg)
     assert diffs and max(diffs) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "loss, alpha", [(kind, 0.0) for kind in LOSS_KINDS] + [("infonce", 1.0)]
+)
+def test_single_positive_run_trains_bit_for_bit_as_infonce(
+    small_cfg, small_dataset, loss, alpha
+):
+    ref, ref_rows = run_with_rows(
+        small_dataset, with_train(small_cfg, loss="infonce", label_ratio=0.0)
+    )
+    state, rows = run_with_rows(
+        small_dataset, with_train(small_cfg, loss=loss, label_ratio=alpha)
+    )
+    for name in ("params_q", "params_k", "velocity"):
+        assert params_equal(getattr(state, name), getattr(ref, name)), name
+    assert np.array_equal(state.queue.features, ref.queue.features)
+    assert state.queue.cursor == ref.queue.cursor
+    if alpha == 0.0:
+        assert np.array_equal(state.queue.labels, ref.queue.labels)
+    else:  # the queue stores the visible labels, which infonce never reads
+        assert np.count_nonzero(state.queue.labels != UNLABELED) > 0
+    assert rows == ref_rows
+
+
+@pytest.mark.parametrize("alpha, kernel", [(1.0, "unicon"), (0.0, "infonce")])
+def test_pretrain_runs_the_kernel_its_positives_need(
+    small_cfg, small_dataset, monkeypatch, alpha, kernel
+):
+    cfg = with_train(small_cfg, loss="unicon", label_ratio=alpha, epochs=1)
+    kinds, most_positives, built = set(), [0], []
+    real_loss, real_build = conlab.pipeline.loss_batch, conlab.pipeline.build_target
+
+    def loss_spy(kind, logits, targets):
+        kinds.add(kind)
+        most_positives[0] = max(most_positives[0], int(targets.sum(axis=1).max()))
+        return real_loss(kind, logits, targets)
+
+    def build_spy(labels, queue):
+        built.append(1)
+        return real_build(labels, queue)
+
+    monkeypatch.setattr(conlab.pipeline, "loss_batch", loss_spy)
+    monkeypatch.setattr(conlab.pipeline, "build_target", build_spy)
+    pretrain(small_dataset, cfg)
+    assert kinds == {kernel}
+    assert len(built) == (cfg.total_steps if alpha else 0)
+    assert (most_positives[0] > 1) == (alpha > 0)
 
 
 def test_pretrain_refuses_a_dataset_its_config_does_not_name(small_cfg, small_dataset):
