@@ -78,7 +78,8 @@ def compare_grid(
         repeated = [str(v) for v, n in Counter(values).items() if n > 1]
         if repeated:
             raise ValueError(f"repeated {noun}: {', '.join(repeated)}")
-    alphas = tuple(sorted({float(a) for a in alphas} | {0.0}))
+    # + 0.0 turns -0.0 into 0.0, which would otherwise name the forced column
+    alphas = tuple(sorted({float(a) + 0.0 for a in alphas} | {0.0}))
     check_dataset_matches(cfg, dataset)
     # every cell's config is built (and so checked) before the first cell runs
     run_cfgs = {

@@ -39,12 +39,18 @@ def _product_rows(k: int, n: int) -> int:
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """``a @ b`` for 2-d arrays, in row blocks of ``a`` of ``_product_rows``
-    rows, so that BLAS computes every block on the calling thread. A single
-    row may exceed the bound. ``out``, if given, is a C-contiguous (m, n)
-    array to write into."""
+    """``a @ b`` for 2-d arrays, computed on the calling thread, where a woken
+    BLAS worker cannot spin on a second core between calls. OpenBLAS decides
+    this by layout and by size. It sends a product against a transposed
+    operand, such as ``q @ F.T`` with a (K, D) queue at the training step's
+    shapes, to its thread pool, while against a C-contiguous copy it takes
+    the small-matrix kernel. So ``b`` is multiplied as a C-contiguous array,
+    copied only if it is not one, in row blocks of ``a`` of ``_product_rows``
+    rows. A single row may exceed the bound. ``out``, if given, is an (m, n)
+    array to write into, which may be strided."""
     m, k = a.shape
     n = b.shape[1]
+    b = np.ascontiguousarray(b)
     if out is None:
         out = np.empty((m, n), dtype=np.result_type(a, b))
     for lo, hi in row_blocks(m, _product_rows(k, n)):

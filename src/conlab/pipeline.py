@@ -29,7 +29,7 @@ from .model import (
     momentum_update,
     zeros_like_params,
 )
-from .numerics import DegenerateVectorError, Rng
+from .numerics import DegenerateVectorError, Rng, serial_matmul
 from .queues import UNLABELED, PairQueue, build_target, init_queue, push_batch
 
 
@@ -91,7 +91,7 @@ def mask_labels(labels: np.ndarray, alpha: float, rng: Rng) -> np.ndarray:
     order comes from a permutation stream that does not depend on alpha, so
     the labeled set at a smaller alpha is a subset of the labeled set at any
     larger alpha (nested subsets). Per class, round(alpha · n_c) labels
-    survive.
+    survive, and at least one when alpha > 0: only alpha = 0 is unlabeled.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -99,7 +99,7 @@ def mask_labels(labels: np.ndarray, alpha: float, rng: Rng) -> np.ndarray:
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         order = rng.stream("mask", int(c)).permutation(idx.size)
-        keep = int(np.floor(alpha * idx.size + 0.5))
+        keep = max(1 if alpha > 0 else 0, int(np.floor(alpha * idx.size + 0.5)))
         out[idx[order[:keep]]] = c
     return out
 
@@ -180,20 +180,6 @@ def _encode(params: EncoderParams, x: np.ndarray, step: int):
         raise DivergenceError(f"divergence at step {step}") from exc
 
 
-def _pair_logits(q: np.ndarray, k: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """(n, 1 + K) similarities before the temperature: each query with its
-    own key in column 0, then with each of the K queue features."""
-    logits = np.empty((q.shape[0], 1 + features.shape[0]))
-    np.sum(q * k, axis=1, out=logits[:, 0])
-    # The queue product is the step's one large GEMM, and its layout decides
-    # where it runs. OpenBLAS sends q @ F.T (a transposed operand) at the
-    # default shapes to its thread pool, whose idle worker then spins on a
-    # second core between steps; against a contiguous (D, K) copy, K*D
-    # elements, it takes the small-matrix kernel on the calling thread.
-    np.matmul(q, np.ascontiguousarray(features.T), out=logits[:, 1:])
-    return logits
-
-
 def train_step(
     state: TrainState,
     x: np.ndarray,
@@ -216,7 +202,10 @@ def train_step(
     q, tape = _encode(state.params_q, x_q, state.step)
     k, _ = _encode(state.params_k, x_k, state.step)  # no grad flows through keys
 
-    logits = _pair_logits(q, k, state.queue.features)
+    # each query with its own key in column 0, then with each queue feature
+    logits = np.empty((n, 1 + state.queue.features.shape[0]))
+    np.sum(q * k, axis=1, out=logits[:, 0])
+    serial_matmul(q, state.queue.features.T, out=logits[:, 1:])
     logits /= train_cfg.tau
 
     if train_cfg.single_positive:
@@ -233,9 +222,8 @@ def train_step(
     values, grad_logits = loss_batch(kind, logits, targets)
     loss = float(np.mean(values))
 
-    grad_q = (grad_logits[:, :1] * k + grad_logits[:, 1:] @ state.queue.features) / (
-        train_cfg.tau * n
-    )
+    grad_queue = serial_matmul(grad_logits[:, 1:], state.queue.features)
+    grad_q = (grad_logits[:, :1] * k + grad_queue) / (train_cfg.tau * n)
     grads = backward(tape, grad_q)
     gnorm = global_norm(grads)
 

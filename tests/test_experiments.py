@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -134,9 +135,14 @@ def test_grid_rejects_repeated_losses_and_seeds(
 
 def test_grid_collapses_repeated_alphas(small_cfg, small_dataset):
     cfg = with_train(small_cfg, epochs=1)
-    result = compare_grid(small_dataset, cfg, ("unicon",), (1.0, 0.0, 1.0), (0,))
+    result = compare_grid(small_dataset, cfg, ("unicon",), (1.0, -0.0, 1.0), (0,))
     assert result.alphas == (0.0, 1.0)
-    assert len(compare_to_dict(result)["cells"]) == 2
+    # -0.0 == 0.0, so it joins the forced column, which prints as 0, not -0
+    assert math.copysign(1.0, result.alphas[0]) == 1.0
+    assert compare_to_csv(result).startswith("loss,alpha_0,alpha_1\n")
+    assert "alpha=0 " in compare_to_text(result)
+    assert [c["alpha"] for c in compare_to_dict(result)["cells"]] == [0.0, 1.0]
+    assert "-0" not in json.dumps(compare_to_dict(result))
 
 
 def test_csv_layout(tiny_grid):

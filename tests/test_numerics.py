@@ -219,6 +219,13 @@ def test_product_rows_at_the_shapes_conlab_multiplies():
         (409, 20, 64),
         (1, 8, 3),
         (0, 4, 5),
+        # a training step's queue product: batch x embed_dim against the
+        # queue, at the default config, small_cfg, and batches 128 and 256,
+        # which take two and four row blocks
+        (64, 16, 512),
+        (24, 8, 48),
+        (128, 16, 512),
+        (256, 16, 512),
     ],
 )
 def test_serial_matmul_equals_the_whole_product(m, k, n):
@@ -228,3 +235,12 @@ def test_serial_matmul_equals_the_whole_product(m, k, n):
     out = np.full((m, n), np.nan)
     assert serial_matmul(a, b, out=out) is out
     assert np.array_equal(out, a @ b)
+    # q @ F.T with a (K, D) queue: a transposed b, written into the strided
+    # columns 1: of the logits. A single row goes to gemv, which rounds a
+    # transposed operand differently from the contiguous copy it multiplies.
+    if m != 1:
+        features = rng.normal(size=(n, k))
+        logits = np.full((m, 1 + n), np.nan)
+        serial_matmul(a, features.T, out=logits[:, 1:])
+        assert np.array_equal(logits[:, 1:], a @ features.T)
+        assert np.all(np.isnan(logits[:, 0]))

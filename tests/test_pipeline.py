@@ -19,11 +19,10 @@ from conlab.config import (
     with_train,
 )
 from conlab.losses import LOSS_KINDS
-from conlab.model import leaves, params_equal
+from conlab.model import forward, leaves, params_equal
 from conlab.numerics import Rng
 from conlab.pipeline import (
     DivergenceError,
-    _pair_logits,
     augment,
     cosine_lr,
     generate_dataset,
@@ -91,12 +90,14 @@ def test_mask_endpoints(small_dataset):
 
 def test_mask_is_class_stratified(small_dataset):
     spec = small_dataset.spec
-    for alpha in (0.25, 0.5, 0.8):
+    # 1e-4 rounds to no label at 80 rows per class, yet keeps one: a positive
+    # label ratio always shows each class
+    for alpha in (1e-4, 0.25, 0.5, 0.8):
         masked = mask_labels(small_dataset.train_y, alpha, Rng(3))
         for c in range(spec.n_classes):
             n_c = int(np.sum(small_dataset.train_y == c))
             labeled = int(np.sum(masked == c))
-            assert labeled == int(np.floor(alpha * n_c + 0.5))
+            assert labeled == max(1, int(np.floor(alpha * n_c + 0.5)))
 
 
 def test_mask_never_relabels(small_dataset):
@@ -272,6 +273,22 @@ def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset, on_lo
     assert np.array_equal(seen["positives"], np.ones(x.shape[0]))
 
 
+def test_train_step_logits_pair_each_query_with_its_key_then_the_queue(
+    small_cfg, small_dataset, on_loss
+):
+    train_cfg = small_cfg.train
+    state = init_state(small_cfg)
+    x = small_dataset.train_x[: train_cfg.batch_size]
+    rng = Rng(0).stream("aug", 0)
+    q, _ = forward(state.params_q, augment(x, train_cfg.aug, rng.stream("q")))
+    k, _ = forward(state.params_k, augment(x, train_cfg.aug, rng.stream("k")))
+    seen = []
+    on_loss(lambda logits, targets: seen.append(logits.copy()))
+    train_step(state, x, small_dataset.train_y[: x.shape[0]], train_cfg, 0.05, rng)
+    want = np.hstack([np.sum(q * k, axis=1)[:, None], q @ state.queue.features.T])
+    assert np.array_equal(seen[0], want / train_cfg.tau)
+
+
 def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
     train_cfg = small_cfg.train
     state = init_state(small_cfg)
@@ -284,20 +301,6 @@ def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
         ((train_cfg.batch_size, 1 + train_cfg.queue_size),
          (train_cfg.batch_size, 1 + train_cfg.queue_size))
     ]
-
-
-@pytest.mark.parametrize("n, k, d", [(64, 512, 16), (24, 48, 8)])
-def test_pair_logits_equal_the_transposed_product(n, k, d):
-    # The queue columns come from a product against a contiguous (D, K) copy
-    # of the queue, which OpenBLAS runs with another kernel than q @ F.T.
-    # Checked at the shapes conlab trains (the default config and small_cfg),
-    # where the two agree bit for bit. That is not universal: at batch 1, or
-    # at 63 x 511, they differed in the last bit in 50 of 50 random trials.
-    rng = np.random.default_rng(n)
-    q, keys, features = (rng.normal(size=(rows, d)) for rows in (n, n, k))
-    logits = _pair_logits(q, keys, features)
-    assert np.array_equal(logits[:, 0], np.sum(q * keys, axis=1))
-    assert np.array_equal(logits[:, 1:], q @ features.T)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +390,18 @@ def test_single_positive_run_trains_bit_for_bit_as_infonce(
     assert rows == ref_rows
 
 
-@pytest.mark.parametrize("alpha, kernel", [(1.0, "unicon"), (0.0, "infonce")])
+@pytest.mark.parametrize(
+    "alpha, kernel", [(1.0, "unicon"), (0.0, "infonce"), (1e-4, "unicon")]
+)
 def test_pretrain_runs_the_kernel_its_positives_need(
     small_cfg, small_dataset, monkeypatch, alpha, kernel
 ):
-    cfg = with_train(small_cfg, loss="unicon", label_ratio=alpha, epochs=1)
+    # 1e-4 of 80 rows per class rounds to no label, yet one row per class
+    # shows its label; with the queue holding a whole epoch, that row finds
+    # its own earlier key as a label positive in the second epoch
+    cfg = with_train(
+        small_cfg, loss="unicon", label_ratio=alpha, epochs=2, queue_size=240
+    )
     kinds, most_positives, built = set(), [0], []
     real_loss, real_build = conlab.pipeline.loss_batch, conlab.pipeline.build_target
 
@@ -471,11 +481,16 @@ def test_pretrain_loss_descends():
 @pytest.mark.skipif(
     not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times"
 )
-def test_pretrain_keeps_blas_on_the_calling_thread(thread_cpu):
+@pytest.mark.parametrize("batch", [64, 128])
+def test_pretrain_keeps_blas_on_the_calling_thread(thread_cpu, batch):
     # An idle OpenBLAS worker spins while it waits, and steps come about 1 ms
-    # apart, so one woken by the queue product would burn a second core for
-    # the whole run. Default model and train shapes, 300 steps.
-    cfg = RunConfig(dataset=DatasetSpec(n_train=640))
+    # apart, so one woken by a queue product would burn a second core for
+    # the whole run. Default model and train shapes, 300 steps; at batch 128
+    # both queue products pass the bound of a serial product.
+    cfg = RunConfig(
+        dataset=DatasetSpec(n_train=10 * batch),
+        train=TrainConfig(batch_size=batch),
+    )
     dataset = generate_dataset(cfg.dataset)
     main, others = thread_cpu(lambda: pretrain(dataset, cfg))
     assert others < 0.1 * main, f"other threads {others:.2f} s, main {main:.2f} s"
