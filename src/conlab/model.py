@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEGENERATE_NORM, DegenerateVectorError, Rng, serial_matmul
+from .numerics import DEGENERATE_NORM, DegenerateVectorError, Rng
 
 Layer = tuple[np.ndarray, np.ndarray]  # (weights (in, out), bias (out,))
 
@@ -154,13 +154,10 @@ def _as_inputs(params: EncoderParams, x: np.ndarray) -> np.ndarray:
 
 
 def trunk_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Trunk output (post-ReLU, not normalized); the representation probes use.
-
-    Unlike a training batch, ``x`` may be a whole split, so each layer's
-    product goes through ``serial_matmul`` to stay on the calling thread."""
+    """Trunk output (post-ReLU, not normalized); the representation probes use."""
     a = _as_inputs(params, x)
     for w, b in params.trunk:
-        a = serial_matmul(a, w)
+        a = a @ w
         a += b
         np.maximum(a, 0.0, out=a)
     return a

@@ -1,23 +1,42 @@
 """Small dense numerics shared by every module.
 
 Everything runs in 64-bit floats. The exported kernels are the numerically
-delicate pieces (log-sum-exp, softplus, sigmoid), a matrix product that stays
-on the calling thread, and a seeded, splittable random number generator. All
-functions are pure; `Rng` instances are single-owner.
+delicate pieces (log-sum-exp, softplus, sigmoid) and a seeded, splittable
+random number generator. All functions are pure; `Rng` instances are
+single-owner. Importing this module has one side effect: it limits numpy's
+OpenBLAS to one thread for the whole process (`_limit_blas_threads`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+from pathlib import Path
 
 import numpy as np
 
 DEGENERATE_NORM = 1e-12
 
-# OpenBLAS 0.3.31 runs an (m, k) @ (k, n) product on the calling thread while
-# m * n * k stays at or below this; 4 x 5000 x 32 stayed there, 8 x 5000 x 32
-# went to its thread pool, whose woken worker then spins on a second core.
-SERIAL_PRODUCT_SIZE = 2**19
+
+def _limit_blas_threads() -> None:
+    """Run every product on its calling thread. A woken OpenBLAS worker spins
+    on a second core between products, which come about 1 ms apart in
+    training and the probes. The limit is process-wide, so it is set once
+    and never restored. Where numpy uses another BLAS, nothing changes."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            set_threads = getattr(handle, symbol, None)
+            if set_threads is not None:
+                set_threads(1)
+                return
+
+
+_limit_blas_threads()
 
 
 def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
@@ -29,33 +48,6 @@ def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
     if size > 1 and n > size and n % size == 1:
         starts[-1] -= 1
     return list(zip(starts, starts[1:] + [n]))
-
-
-def _product_rows(k: int, n: int) -> int:
-    """Rows of an (rows, k) @ (k, n) block within ``SERIAL_PRODUCT_SIZE``
-    multiply-adds, a multiple of 8 from 8 rows on, and at least one."""
-    rows = max(1, SERIAL_PRODUCT_SIZE // max(1, k * n))
-    return rows - rows % 8 if rows >= 8 else rows
-
-
-def serial_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """``a @ b`` for 2-d arrays, computed on the calling thread, where a woken
-    BLAS worker cannot spin on a second core between calls. OpenBLAS decides
-    this by layout and by size. It sends a product against a transposed
-    operand, such as ``q @ F.T`` with a (K, D) queue at the training step's
-    shapes, to its thread pool, while against a C-contiguous copy it takes
-    the small-matrix kernel. So ``b`` is multiplied as a C-contiguous array,
-    copied only if it is not one, in row blocks of ``a`` of ``_product_rows``
-    rows. A single row may exceed the bound. ``out``, if given, is an (m, n)
-    array to write into, which may be strided."""
-    m, k = a.shape
-    n = b.shape[1]
-    b = np.ascontiguousarray(b)
-    if out is None:
-        out = np.empty((m, n), dtype=np.result_type(a, b))
-    for lo, hi in row_blocks(m, _product_rows(k, n)):
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
-    return out
 
 
 class DegenerateVectorError(ValueError):

@@ -29,7 +29,7 @@ from .model import (
     momentum_update,
     zeros_like_params,
 )
-from .numerics import DegenerateVectorError, Rng, serial_matmul
+from .numerics import DegenerateVectorError, Rng
 from .queues import UNLABELED, PairQueue, build_target, init_queue, push_batch
 
 
@@ -205,7 +205,7 @@ def train_step(
     # each query with its own key in column 0, then with each queue feature
     logits = np.empty((n, 1 + state.queue.features.shape[0]))
     np.sum(q * k, axis=1, out=logits[:, 0])
-    serial_matmul(q, state.queue.features.T, out=logits[:, 1:])
+    np.matmul(q, state.queue.features.T, out=logits[:, 1:])
     logits /= train_cfg.tau
 
     if train_cfg.single_positive:
@@ -222,7 +222,7 @@ def train_step(
     values, grad_logits = loss_batch(kind, logits, targets)
     loss = float(np.mean(values))
 
-    grad_queue = serial_matmul(grad_logits[:, 1:], state.queue.features)
+    grad_queue = grad_logits[:, 1:] @ state.queue.features
     grad_q = (grad_logits[:, :1] * k + grad_queue) / (train_cfg.tau * n)
     grads = backward(tape, grad_q)
     gnorm = global_norm(grads)

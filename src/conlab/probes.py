@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ProbeConfig, RunConfig
 from .model import EncoderParams, trunk_features
-from .numerics import Rng, row_blocks, serial_matmul
+from .numerics import Rng, row_blocks
 from .pipeline import Dataset, check_dataset_matches
 
 
@@ -135,18 +135,11 @@ def _knn_block_rows(n_train: int) -> int:
 
 def _similarity_blocks(test_u: np.ndarray, train_u: np.ndarray):
     """``(lo, hi, test_u[lo:hi] @ train_u.T)`` for consecutive blocks of
-    ``_knn_block_rows`` test rows, each block written into one reused buffer
-    by ``serial_matmul`` against a contiguous (width, n_train) copy of the
-    train rows. A lone test row is multiplied as it stands: numpy sends it to
-    gemv, which rounds as the full product does only in that layout."""
-    if test_u.shape[0] == 1:
-        yield 0, 1, test_u @ train_u.T
-        return
-    train_t = np.ascontiguousarray(train_u.T)
-    del train_u  # the caller holds no other reference: one copy at a time
-    block = np.empty((_knn_block_rows(train_t.shape[1]), train_t.shape[1]))
+    ``_knn_block_rows`` test rows, each block written into one reused
+    buffer."""
+    block = np.empty((_knn_block_rows(train_u.shape[0]), train_u.shape[0]))
     for lo, hi in row_blocks(test_u.shape[0], block.shape[0]):
-        yield lo, hi, serial_matmul(test_u[lo:hi], train_t, out=block[: hi - lo])
+        yield lo, hi, np.matmul(test_u[lo:hi], train_u.T, out=block[: hi - lo])
 
 
 def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
@@ -187,18 +180,13 @@ def knn_probe(
     counts once. Vote ties go to the smaller class index.
 
     Test rows go in blocks of ``_knn_block_rows(n_train)``, so the whole
-    test x train similarity matrix is never held, and each block is
-    multiplied by ``serial_matmul`` against one contiguous (width, n_train)
-    copy of the train rows, on the calling thread. The result equals the
-    full-matrix probe only where BLAS rounds every row of those products as
-    it rounds that row of the full product. On OpenBLAS 0.3.31 (SkylakeX
-    dgemm) that holds at the shapes conlab probes: 5000 train rows of width
-    32, and 240, 192 or 48 of width 12. It does not hold everywhere, and the
-    neighbor order can then differ on near ties. At 203 and 339 train rows
-    the last ``n_train % 8`` columns can differ in the last bit. So can a
-    product of a few test rows against a few hundred train rows of width 32
-    or more. Where n_train x width exceeds 2^18, each sub-product is a
-    single row and goes to gemv; at 5000 x 64 every column can differ.
+    test x train similarity matrix is never held. The result equals the
+    full-matrix probe only where BLAS rounds every row of those blocks as it
+    rounds that row of the full product. With numpy's bundled BLAS (0.3.31,
+    SkylakeX dgemm) that holds at the shapes conlab probes: 5000 train rows
+    of width 32 or 64, and 240, 192 or 48 of width 12. It does not hold
+    everywhere: the last ``n_train % 8`` columns can differ in the last bit,
+    and the neighbor order can then differ on near ties.
     """
     train_labels = _check_labels(train_labels)
     test_labels = _check_labels(test_labels)

@@ -4,20 +4,16 @@ Reference constants were computed with mpmath at 60 decimal digits and are
 frozen here to 20 significant digits.
 """
 
+import ctypes
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conlab.numerics import (
-    SERIAL_PRODUCT_SIZE,
-    Rng,
-    _product_rows,
-    log_sum_exp,
-    serial_matmul,
-    sigmoid,
-    softplus,
-)
+from conlab.numerics import Rng, log_sum_exp, sigmoid, softplus
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -188,59 +184,23 @@ def test_rng_integers_and_uniform_ranges():
 
 
 # ---------------------------------------------------------------------------
-# row blocks and the calling-thread product
+# the BLAS thread limit
 
 
-@pytest.mark.parametrize(
-    "k, n", [(20, 64), (64, 32), (32, 5000), (12, 240), (1, 1), (7, 2**19)]
-)
-def test_product_rows_stay_within_the_serial_size(k, n):
-    rows = _product_rows(k, n)
-    assert rows >= 1
-    assert rows * k * n <= SERIAL_PRODUCT_SIZE or rows == 1
-    assert rows < 8 or rows % 8 == 0
-    assert (rows + 8 if rows >= 8 else rows + 1) * k * n > SERIAL_PRODUCT_SIZE
-
-
-def test_product_rows_at_the_shapes_conlab_multiplies():
-    # the default trunk (20 -> 64 -> 32) on a split, and kNN against 5000
-    # train rows of width 32, which took 128 rows per product before
-    assert (_product_rows(20, 64), _product_rows(64, 32)) == (408, 256)
-    assert _product_rows(32, 5000) == 3
-    assert _product_rows(32, 2**20) == 1
-
-
-@pytest.mark.parametrize(
-    "m, k, n",
-    [
-        (5000, 20, 64),
-        (5000, 64, 32),
-        (1000, 32, 5000),
-        (409, 20, 64),
-        (1, 8, 3),
-        (0, 4, 5),
-        # a training step's queue product: batch x embed_dim against the
-        # queue, at the default config, small_cfg, and batches 128 and 256,
-        # which take two and four row blocks
-        (64, 16, 512),
-        (24, 8, 48),
-        (128, 16, 512),
-        (256, 16, 512),
-    ],
-)
-def test_serial_matmul_equals_the_whole_product(m, k, n):
-    rng = np.random.default_rng(m + k + n)
-    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-    assert np.array_equal(serial_matmul(a, b), a @ b)
-    out = np.full((m, n), np.nan)
-    assert serial_matmul(a, b, out=out) is out
-    assert np.array_equal(out, a @ b)
-    # q @ F.T with a (K, D) queue: a transposed b, written into the strided
-    # columns 1: of the logits. A single row goes to gemv, which rounds a
-    # transposed operand differently from the contiguous copy it multiplies.
-    if m != 1:
-        features = rng.normal(size=(n, k))
-        logits = np.full((m, 1 + n), np.nan)
-        serial_matmul(a, features.T, out=logits[:, 1:])
-        assert np.array_equal(logits[:, 1:], a @ features.T)
-        assert np.all(np.isnan(logits[:, 0]))
+def test_import_limits_openblas_to_one_thread():
+    # the limit is process-wide: a thread started later reads it too
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    getters = [
+        getattr(ctypes.CDLL(str(lib)), symbol, None)
+        for lib in sorted(libs.glob("*openblas*"))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+    ]
+    getters = [fn for fn in getters if fn is not None]
+    if not getters:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    seen = []
+    reader = threading.Thread(target=lambda: seen.extend(fn() for fn in getters))
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert [fn() for fn in getters] == seen == [1] * len(getters)

@@ -289,6 +289,38 @@ def test_train_step_logits_pair_each_query_with_its_key_then_the_queue(
     assert np.array_equal(seen[0], want / train_cfg.tau)
 
 
+@pytest.mark.parametrize("batch", [128, 256])
+def test_train_step_query_gradient_takes_the_whole_queue_product(batch, monkeypatch):
+    # The queue's share of the query gradient is one product over the whole
+    # batch. Row blocks of it, which these batches once took, can differ
+    # from it in the last bit.
+    cfg = RunConfig(
+        dataset=DatasetSpec(n_train=2 * batch), train=TrainConfig(batch_size=batch)
+    )
+    dataset = generate_dataset(cfg.dataset)
+    state = init_state(cfg)
+    seen = {}
+    real_loss, real_backward = conlab.pipeline.loss_batch, conlab.pipeline.backward
+
+    def loss_batch(kind, logits, targets):
+        values, seen["grad_logits"] = real_loss(kind, logits, targets)
+        return values, seen["grad_logits"]
+
+    def backward(tape, grad_q):
+        seen["grad_q"] = grad_q.copy()
+        return real_backward(tape, grad_q)
+
+    monkeypatch.setattr(conlab.pipeline, "loss_batch", loss_batch)
+    monkeypatch.setattr(conlab.pipeline, "backward", backward)
+    x, labels = dataset.train_x[:batch], dataset.train_y[:batch]
+    rng = Rng(0).stream("aug", 0)
+    train_step(state, x, labels, cfg.train, 0.05, rng)
+    k, _ = forward(state.params_k, augment(x, cfg.train.aug, rng.stream("k")))
+    g = seen["grad_logits"]
+    want = (g[:, :1] * k + g[:, 1:] @ state.queue.features) / (cfg.train.tau * batch)
+    assert np.array_equal(seen["grad_q"], want)
+
+
 def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
     train_cfg = small_cfg.train
     state = init_state(small_cfg)
@@ -481,12 +513,12 @@ def test_pretrain_loss_descends():
 @pytest.mark.skipif(
     not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times"
 )
-@pytest.mark.parametrize("batch", [64, 128])
+@pytest.mark.parametrize("batch", [64, 128, 256])
 def test_pretrain_keeps_blas_on_the_calling_thread(thread_cpu, batch):
     # An idle OpenBLAS worker spins while it waits, and steps come about 1 ms
-    # apart, so one woken by a queue product would burn a second core for
-    # the whole run. Default model and train shapes, 300 steps; at batch 128
-    # both queue products pass the bound of a serial product.
+    # apart, so one woken by a step's product would burn a second core for
+    # the whole run. Default model and train shapes, 300 steps; at batch 256
+    # the model's backward products are large enough to wake a worker too.
     cfg = RunConfig(
         dataset=DatasetSpec(n_train=10 * batch),
         train=TrainConfig(batch_size=batch),

@@ -387,15 +387,16 @@ def test_knn_block_rows_stay_within_the_element_budget():
         (129, 240, 12),
         (25, 5000, 32),
         (545, 240, 12),
+        (200, 5000, 64),
     ],
 )
 def test_knn_block_similarities_equal_full_product(n_test, n_train, width):
     # The probe's output equals the full-matrix version only if BLAS rounds a
-    # row of each sub-product as it rounds that row of the full product.
-    # Checked at the shapes conlab probes (the default dataset and the test
-    # configs), with a single test row, which goes to gemv, and one row past
-    # a block, which would leave a lone row (25 at 5000 train rows, 545 at
-    # 240).
+    # row of each block as it rounds that row of the full product. Checked
+    # at the shapes conlab probes (the default dataset and the test configs),
+    # with a single test row, which goes to gemv, one row past a block, which
+    # would leave a lone row (25 at 5000 train rows, 545 at 240), and a
+    # 64-wide trunk over 5000 train rows, where every column used to differ.
     rng = np.random.default_rng(n_test)
     test_u = _unit_rows_safe(rng.normal(size=(n_test, width)))
     train_u = _unit_rows_safe(rng.normal(size=(n_train, width)))
@@ -421,7 +422,7 @@ def test_knn_memory_stays_within_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # unit rows and their transposed copy 2.6 MB, a 24-row block 1 MB
+    # unit rows of both splits 1.5 MB, a 24-row block 1 MB
     assert peak < 5e6
 
 
@@ -498,10 +499,27 @@ def default_probe_inputs():
     not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times"
 )
 def test_run_probes_keeps_blas_on_the_calling_thread(default_probe_inputs, thread_cpu):
-    # Whole-split feature products and kNN similarity blocks above OpenBLAS's
-    # serial size wake its worker, which then spins through the linear probe.
+    # Whole-split feature products and kNN similarity blocks are large enough
+    # to wake an OpenBLAS worker, which would then spin through the linear
+    # probe.
     params, dataset, cfg = default_probe_inputs
     main, others = thread_cpu(lambda: run_probes(params, dataset, cfg))
+    assert others < 0.1 * main, f"other threads {others:.2f} s, main {main:.2f} s"
+
+
+@pytest.mark.skipif(
+    not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread CPU times"
+)
+def test_knn_probe_on_many_train_rows_keeps_blas_on_the_calling_thread(thread_cpu):
+    # At 2**15 train rows of width 32 a similarity block holds 8 test rows,
+    # and a single test row against all train rows is a gemv large enough
+    # to wake a worker.
+    rng = np.random.default_rng(0)
+    f_tr = rng.normal(size=(2**15, 32))
+    f_te = rng.normal(size=(256, 32))
+    y_tr = np.arange(2**15) % 5
+    y_te = np.arange(256) % 5
+    main, others = thread_cpu(lambda: knn_probe(f_tr, y_tr, f_te, y_te, k=15))
     assert others < 0.1 * main, f"other threads {others:.2f} s, main {main:.2f} s"
 
 
