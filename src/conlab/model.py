@@ -107,10 +107,6 @@ def zeros_like_params(params: EncoderParams) -> EncoderParams:
     return map_leaves(np.zeros_like, params)
 
 
-def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
-    return a._layout.shapes == b._layout.shapes and np.array_equal(a.flat, b.flat)
-
-
 def init_params(dims, rng: Rng) -> EncoderParams:
     """Fan-in-scaled uniform weights, zero biases, deterministic per stream.
 

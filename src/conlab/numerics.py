@@ -1,10 +1,10 @@
 """Small dense numerics shared by every module.
 
 Everything runs in 64-bit floats. The exported kernels are the numerically
-delicate pieces (log-sum-exp, softplus, sigmoid) and a seeded, splittable
-random number generator. All functions are pure; `Rng` instances are
-single-owner. Importing this module has one side effect: it limits numpy's
-OpenBLAS to one thread for the whole process (`_limit_blas_threads`).
+delicate pieces (softplus, sigmoid) and a seeded, splittable random number
+generator. All functions are pure; `Rng` instances are single-owner.
+Importing this module has one side effect: it limits numpy's OpenBLAS to one
+thread for the whole process (`_limit_blas_threads`).
 """
 
 from __future__ import annotations
@@ -52,20 +52,6 @@ def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
 
 class DegenerateVectorError(ValueError):
     """A row whose norm is too small to normalize."""
-
-
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v_i))) with the maximum subtracted before exponentiation.
-
-    Exact (returns x itself) for single-element input.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty reduction")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite input")
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
 
 
 def softplus(x):

@@ -26,6 +26,7 @@ from conlab import (
     TrainConfig,
     generate_dataset,
 )
+from conlab.model import EncoderParams, leaves
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -43,20 +44,29 @@ def _cpu_s(who) -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def _off_main_thread_s() -> float:
-    """Process CPU spent outside the calling thread, where a woken BLAS
-    worker runs: the tests themselves run on the main thread."""
-    return _cpu_s(resource.RUSAGE_SELF) - _cpu_s(resource.RUSAGE_THREAD)
+def other_threads_s(process_s: float, thread_s: float) -> float:
+    """CPU spent outside the calling thread, where a woken BLAS worker runs,
+    from the process's and the calling thread's CPU over the same span. The
+    two clocks are read one after the other, so when no other thread ran
+    their difference can fall a few microseconds below zero: it reads 0."""
+    return max(process_s - thread_s, 0.0)
 
 
-# wall, process CPU and off-main-thread CPU clocks when the session starts
+def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
+    """Two parameter trees of the same leaf shapes holding the same bits."""
+    shapes = [[leaf.shape for leaf in leaves(tree)] for tree in (a, b)]
+    return shapes[0] == shapes[1] and np.array_equal(a.flat, b.flat)
+
+
+# wall and process CPU clocks when the session starts, then the process's and
+# the main thread's rusage CPU: the tests themselves run on the main thread
 _START: list[float] = []
 
 
 def pytest_sessionstart(session):
     _START[:] = [time.perf_counter(), time.process_time()]
     if hasattr(resource, "RUSAGE_THREAD"):
-        _START.append(_off_main_thread_s())
+        _START.extend([_cpu_s(resource.RUSAGE_SELF), _cpu_s(resource.RUSAGE_THREAD)])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -68,7 +78,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     cpu = time.process_time() - _START[1]
     line = f"suite: wall {wall:.1f} s, process CPU {cpu:.1f} s"
     if len(_START) > 2:
-        line += f", off the main thread {_off_main_thread_s() - _START[2]:.1f} s"
+        others = other_threads_s(
+            _cpu_s(resource.RUSAGE_SELF) - _START[2],
+            _cpu_s(resource.RUSAGE_THREAD) - _START[3],
+        )
+        line += f", off the main thread {others:.1f} s"
     terminalreporter.write_line(line)
 
 
@@ -82,7 +96,7 @@ def thread_cpu():
         process, thread = _cpu_s(resource.RUSAGE_SELF), _cpu_s(resource.RUSAGE_THREAD)
         fn()
         thread = _cpu_s(resource.RUSAGE_THREAD) - thread
-        return thread, _cpu_s(resource.RUSAGE_SELF) - process - thread
+        return thread, other_threads_s(_cpu_s(resource.RUSAGE_SELF) - process, thread)
 
     return measure
 

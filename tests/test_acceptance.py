@@ -3,7 +3,8 @@
 Each test measures its criterion end to end and records a PASS/FAIL line
 (with the measured quantities) that the terminal reporter prints under
 "acceptance criteria" after the run. The two training grids are
-module-scoped fixtures because criteria 9 and 10 share cells.
+module-scoped fixtures because criteria 9 and 10 share cells, and they train
+each run they share once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from conftest import record_acceptance
 
+import conlab.experiments
 from conlab.cli import main as cli_main
 from conlab.config import RunConfig, config_to_dict, with_train
 from conlab.experiments import (
@@ -66,7 +68,30 @@ def default_dataset(default_cfg):
 
 
 @pytest.fixture(scope="module")
-def ratio_grid(default_cfg, default_dataset):
+def grid_runs():
+    """Final state of each run the grid fixtures trained, by work key."""
+    return {}
+
+
+def _compare_sharing_runs(runs, *args, **kwargs):
+    """``compare_grid`` with each run that ``runs`` holds given back, not
+    trained again: both grids hold the α=0 column, which is single-positive
+    and so trains as infonce at α=0 whatever the loss."""
+    real_pretrain = conlab.experiments.pretrain
+
+    def pretrain_once(dataset, run_cfg):
+        key = conlab.experiments._work_key(run_cfg)
+        if key not in runs:
+            runs[key] = real_pretrain(dataset, run_cfg)
+        return runs[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conlab.experiments, "pretrain", pretrain_once)
+        return compare_grid(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def ratio_grid(default_cfg, default_dataset, grid_runs):
     """unicon at alpha in {0, 0.5, 1} x 5 seeds, with per-run wall times."""
     durations: list[float] = []
     last = [time.perf_counter()]
@@ -76,18 +101,19 @@ def ratio_grid(default_cfg, default_dataset):
         durations.append(now - last[0])
         last[0] = now
 
-    grid = compare_grid(
-        default_dataset, default_cfg, ("unicon",), (0.5, 1.0), SEEDS,
+    grid = _compare_sharing_runs(
+        grid_runs, default_dataset, default_cfg, ("unicon",), (0.5, 1.0), SEEDS,
         progress=tick,
     )
     return grid, tuple(durations)
 
 
 @pytest.fixture(scope="module")
-def family_grid(default_cfg, default_dataset):
+def family_grid(default_cfg, default_dataset, grid_runs):
     """supcon_in / supcon_out at alpha=1 (plus the standing alpha=0 column)."""
-    return compare_grid(
-        default_dataset, default_cfg, ("supcon_in", "supcon_out"), (1.0,), SEEDS
+    return _compare_sharing_runs(
+        grid_runs, default_dataset, default_cfg, ("supcon_in", "supcon_out"), (1.0,),
+        SEEDS,
     )
 
 
@@ -360,6 +386,15 @@ def test_criterion_10_loss_family_direction(ratio_grid, family_grid, tmp_path_fa
         f"supcon_in {s_in.mean_linear:.4f}, supcon_out {s_out.mean_linear:.4f} "
         f"(unicon within 1pp of both; report in {out})",
     )
+
+
+def test_grid_fixtures_train_each_run_once(ratio_grid, family_grid, grid_runs):
+    # 15 ratio-grid runs, then 10 family-grid runs at alpha=1: the family
+    # grid's alpha=0 column is the ratio grid's
+    zero = ratio_grid[0].cells[("unicon", 0.0)]
+    assert family_grid.cells[("supcon_in", 0.0)] == zero
+    assert family_grid.cells[("supcon_out", 0.0)] == zero
+    assert len(grid_runs) == 25
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import params_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,6 @@ from conlab.config import (
     config_to_dict,
     load_config,
 )
-from conlab.model import params_equal
 from conlab.pipeline import init_state
 from conlab.storage import (
     MAGIC,

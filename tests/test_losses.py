@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conlab.losses import LOSS_KINDS, loss_batch, triplet_pair
-from conlab.numerics import log_sum_exp
 
 MULTI_POS_KINDS = ("unicon", "unicon_out", "supcon_out", "supcon_in")
 
@@ -343,8 +342,68 @@ def test_unicon_extreme_worst_case_value():
 # per-row reference from the defining formulas
 
 
-def _lse(v):
-    return log_sum_exp(np.asarray(v, dtype=np.float64))
+def _lse(v) -> float:
+    """log(sum(exp(v_i))) with the maximum subtracted before exponentiation:
+    the scalar oracle the reference rows are built from. Exact (returns x
+    itself) for single-element input."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("empty reduction")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite input")
+    m = float(np.max(v))
+    return m + float(np.log(np.sum(np.exp(v - m))))
+
+
+# the oracle's own checks: values frozen from mpmath like ORACLE's, and laws
+finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def test_lse_frozen_values():
+    assert _lse([0.5, -1.25, 3.0]) == pytest.approx(
+        3.0919857805919687654, rel=1e-15
+    )
+    assert _lse([600.0, 599.0, -600.0]) == pytest.approx(
+        600.31326168751822283, rel=1e-15
+    )
+    assert _lse([-1000.0, -1000.0, -1000.0]) == pytest.approx(
+        -998.90138771133189031, rel=1e-15
+    )
+
+
+@given(finite_floats)
+def test_lse_singleton_is_exact(x):
+    assert _lse([x]) == x
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=12), finite_floats)
+def test_lse_shift_property(values, c):
+    shifted = _lse([v + c for v in values])
+    assert shifted == pytest.approx(_lse(values) + c, abs=1e-12)
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=12))
+def test_lse_dominates_max(values):
+    assert _lse(values) >= max(values) - 1e-12
+
+
+def test_lse_empty_and_nonfinite_rejected():
+    with pytest.raises(ValueError, match="empty reduction"):
+        _lse([])
+    with pytest.raises(ValueError, match="non-finite"):
+        _lse([0.0, np.inf])
+    with pytest.raises(ValueError, match="non-finite"):
+        _lse([np.nan])
+
+
+def test_lse_huge_inputs_no_overflow():
+    with np.errstate(over="raise"):
+        assert _lse([750.0, 740.0]) == pytest.approx(
+            750.0 + np.log1p(np.exp(-10.0)), rel=1e-15
+        )
+        assert _lse([-750.0, -760.0]) == pytest.approx(
+            -750.0 + np.log1p(np.exp(-10.0)), rel=1e-15
+        )
 
 
 def _softmax(v):

@@ -7,6 +7,7 @@ including the row-normalization Jacobian.
 
 import numpy as np
 import pytest
+from conftest import params_equal
 
 from conlab.model import (
     EncoderParams,
@@ -16,7 +17,6 @@ from conlab.model import (
     leaves,
     map_leaves,
     momentum_update,
-    params_equal,
     trunk_features,
     zeros_like_params,
 )

@@ -10,63 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import other_threads_s
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conlab.numerics import Rng, log_sum_exp, sigmoid, softplus
-
-finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
-
-
-# ---------------------------------------------------------------------------
-# log_sum_exp
-
-
-def test_lse_frozen_values():
-    assert log_sum_exp([0.5, -1.25, 3.0]) == pytest.approx(
-        3.0919857805919687654, rel=1e-15
-    )
-    assert log_sum_exp([600.0, 599.0, -600.0]) == pytest.approx(
-        600.31326168751822283, rel=1e-15
-    )
-    assert log_sum_exp([-1000.0, -1000.0, -1000.0]) == pytest.approx(
-        -998.90138771133189031, rel=1e-15
-    )
-
-
-@given(finite_floats)
-def test_lse_singleton_is_exact(x):
-    assert log_sum_exp([x]) == x
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=12), finite_floats)
-def test_lse_shift_property(values, c):
-    shifted = log_sum_exp([v + c for v in values])
-    assert shifted == pytest.approx(log_sum_exp(values) + c, abs=1e-12)
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=12))
-def test_lse_dominates_max(values):
-    assert log_sum_exp(values) >= max(values) - 1e-12
-
-
-def test_lse_empty_and_nonfinite_rejected():
-    with pytest.raises(ValueError, match="empty reduction"):
-        log_sum_exp([])
-    with pytest.raises(ValueError, match="non-finite"):
-        log_sum_exp([0.0, np.inf])
-    with pytest.raises(ValueError, match="non-finite"):
-        log_sum_exp([np.nan])
-
-
-def test_lse_huge_inputs_no_overflow():
-    with np.errstate(over="raise"):
-        assert log_sum_exp([750.0, 740.0]) == pytest.approx(
-            750.0 + np.log1p(np.exp(-10.0)), rel=1e-15
-        )
-        assert log_sum_exp([-750.0, -760.0]) == pytest.approx(
-            -750.0 + np.log1p(np.exp(-10.0)), rel=1e-15
-        )
+from conlab.numerics import Rng, sigmoid, softplus
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +152,10 @@ def test_import_limits_openblas_to_one_thread():
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert [fn() for fn in getters] == seen == [1] * len(getters)
+
+
+def test_other_threads_figure_reads_zero_below_zero():
+    # the process and thread clocks are read one after the other, so an idle
+    # process can show its calling thread a few microseconds ahead of itself
+    assert other_threads_s(1.0, 1.000004) == 0.0
+    assert other_threads_s(1.5, 1.0) == 0.5

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import params_equal
 
 import conlab.pipeline
 from conlab.config import (
@@ -19,7 +20,7 @@ from conlab.config import (
     with_train,
 )
 from conlab.losses import LOSS_KINDS
-from conlab.model import forward, leaves, params_equal
+from conlab.model import forward, leaves
 from conlab.numerics import Rng
 from conlab.pipeline import (
     DivergenceError,

@@ -7,9 +7,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import params_equal
 
 from conlab.config import RunConfig, config_digest, with_train
-from conlab.model import params_equal
 from conlab.pipeline import StepMetrics, init_state, pretrain
 from conlab.storage import (
     FORMAT_VERSION,
