@@ -9,7 +9,9 @@ configuration or storage problems, 3 numeric divergence during training
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -167,12 +169,26 @@ def _parse_list(text: str, flag: str, kind):
         raise ConfigError([f"{flag}: expected comma-separated {noun}, got {text!r}"])
 
 
+def _check_out_dir(path: Path) -> None:
+    """Raise the error ``mkdir`` would for a directory that is, or lies
+    under, an existing non-directory, before any work. Nothing is created,
+    so a later config error leaves no directory behind."""
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                code = errno.EEXIST if part == path else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(path))
+            return
+
+
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
     alphas = _parse_list(args.alphas, "--alphas", float)
     losses = [tok for tok in args.losses.split(",") if tok.strip() != ""]
     seeds = _parse_list(args.seeds, "--seeds", int)
+    out_dir = Path(args.out_dir)
+    _check_out_dir(out_dir)
 
     def progress(kind, alpha, seed, res):
         print(
@@ -186,7 +202,6 @@ def _cmd_compare(args) -> int:
         progress=progress if args.verbose else None,
     )
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "compare.csv", compare_to_csv(result))
     atomic_write_text(out_dir / "compare.txt", compare_to_text(result) + "\n")

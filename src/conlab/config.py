@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import ClassVar, get_args, get_type_hints
 
@@ -37,77 +38,102 @@ def _budget(where: str, what: str, n: int) -> list[str]:
     return [f"{where}: {what} exceeds the budget of {ELEMENT_BUDGET} elements"]
 
 
+# The comparison that rejects a value for each bound operator. NaN makes
+# every comparison false, so it meets every bound and is reported only as
+# not finite.
+_REJECTS = {">=": operator.lt, ">": operator.le, "<=": operator.gt, "<": operator.ge}
+_ENDS = {">=": "[", ">": "(", "<=": "]", "<": ")"}  # an interval's brackets
+
+
+def _checked(default, check):
+    """A field with a rule: `check(section, value)` returns what is wrong
+    with the value, or None."""
+    return field(default=default, metadata={"check": check})
+
+
+def _bounded(default, *bounds):
+    """A field whose value must meet each `(op, limit)` bound in turn, where
+    `limit` is a number or the name of another field of the section. The
+    message names the first bound the value fails; a numeric lower and upper
+    bound read as one interval. A field that defaults to None may be None."""
+    says = [f"must be {op} {limit}" for op, limit in bounds]
+    if len(bounds) == 2 and not any(isinstance(limit, str) for _, limit in bounds):
+        (lo_op, lo), (hi_op, hi) = bounds
+        says = 2 * [f"must lie in {_ENDS[lo_op]}{lo}, {hi}{_ENDS[hi_op]}"]
+    if default is None:
+        says = [f"{message} (or null)" for message in says]
+
+    def check(section, value):
+        if value is None and default is None:
+            return None
+        for (op, limit), message in zip(bounds, says):
+            limit = getattr(section, limit) if isinstance(limit, str) else limit
+            if _REJECTS[op](value, limit):
+                return message
+
+    return _checked(default, check)
+
+
 class _Checked:
     """A config section, and a whole config, checks its own rules when it is
     built, so one from JSON, `with_train`, `dataclasses.replace` or a
-    constructor call is valid, and no caller re-checks it. `_where` names
-    the section in messages."""
+    constructor call is valid, and no caller re-checks it. A field's rule
+    is declared on the field (`_bounded`, `_checked`), and `validate()`
+    holds the rest: the element budgets, and the rules that span sections.
+    `_where` names the section in messages."""
 
     _where: ClassVar[str]
 
     def __post_init__(self):
-        # every rule in validate() is a rejecting comparison, which NaN passes
         problems = [
             f"{self._where}.{f.name}: must be finite"
             for f in fields(self)
             if isinstance(v := getattr(self, f.name), float) and not math.isfinite(v)
         ]
+        for f in fields(self):
+            check = f.metadata.get("check")
+            if check and (says := check(self, getattr(self, f.name))):
+                problems.append(f"{self._where}.{f.name}: {says}")
         problems += self.validate()
         if problems:
             raise ConfigError(problems)
+
+    def validate(self) -> list[str]:
+        return []
 
 
 @dataclass(frozen=True)
 class DatasetSpec(_Checked):
     _where = "dataset"
 
-    n_classes: int = 5
-    input_dim: int = 20
-    n_train: int = 5000
-    n_test: int = 1000
-    cluster_spread: float = 1.0
-    mean_radius: float = 2.0
-    seed: int = 0
+    n_classes: int = _bounded(5, (">=", 2))
+    input_dim: int = _bounded(20, (">=", 2))
+    n_train: int = _bounded(5000, (">=", "n_classes"))
+    n_test: int = _bounded(1000, (">=", "n_classes"))
+    cluster_spread: float = _bounded(1.0, (">", 0))
+    mean_radius: float = _bounded(2.0, (">", 0))
+    seed: int = _bounded(0, (">=", 0))
 
     def validate(self) -> list[str]:
         problems = []
-        if self.n_classes < 2:
-            problems.append("dataset.n_classes: must be >= 2")
-        if self.input_dim < 2:
-            problems.append("dataset.input_dim: must be >= 2")
-        if self.n_train < self.n_classes:
-            problems.append("dataset.n_train: must be >= n_classes")
-        if self.n_test < self.n_classes:
-            problems.append("dataset.n_test: must be >= n_classes")
-        if self.cluster_spread <= 0:
-            problems.append("dataset.cluster_spread: must be > 0")
-        if self.mean_radius <= 0:
-            problems.append("dataset.mean_radius: must be > 0")
-        if self.seed < 0:
-            problems.append("dataset.seed: must be >= 0")
         for name, n in (("n_train", self.n_train), ("n_test", self.n_test)):
             size = n * self.input_dim
             problems += _budget(f"dataset.{name}", f"{name} * input_dim", size)
         return problems
 
 
+def _widths(_, trunk):
+    if len(trunk) < 1 or any(w < 1 for w in trunk):
+        return "must be a non-empty list of widths >= 1"
+
+
 @dataclass(frozen=True)
 class ModelConfig(_Checked):
     _where = "model"
 
-    trunk: tuple[int, ...] = (64, 32)
-    proj_hidden: int | None = None  # defaults to the trunk output width
-    embed_dim: int = 16
-
-    def validate(self) -> list[str]:
-        problems = []
-        if len(self.trunk) < 1 or any(w < 1 for w in self.trunk):
-            problems.append("model.trunk: must be a non-empty list of widths >= 1")
-        if self.proj_hidden is not None and self.proj_hidden < 1:
-            problems.append("model.proj_hidden: must be >= 1 (or null)")
-        if self.embed_dim < 1:
-            problems.append("model.embed_dim: must be >= 1")
-        return problems
+    trunk: tuple[int, ...] = _checked((64, 32), _widths)
+    proj_hidden: int | None = _bounded(None, (">=", 1))  # None = the trunk output width
+    embed_dim: int = _bounded(16, (">=", 1))
 
 
 @dataclass(frozen=True)
@@ -117,34 +143,31 @@ class AugConfig(_Checked):
     # Deliberately gentle views. The label-ratio effect lives here: with weak
     # augmentation the instance-matching task saturates early, so unlabeled
     # training plateaus while label-driven positives keep supplying signal.
-    noise_std: float = 0.15
-    dropout_p: float = 0.0
+    noise_std: float = _bounded(0.15, (">=", 0))
+    dropout_p: float = _bounded(0.0, (">=", 0), ("<", 1))
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.noise_std < 0:
-            problems.append("train.aug.noise_std: must be >= 0")
-        if not 0.0 <= self.dropout_p < 1.0:
-            problems.append("train.aug.dropout_p: must lie in [0, 1)")
-        return problems
+
+def _loss_kind(_, loss):
+    if loss not in LOSS_KINDS:
+        return f"unknown loss {loss!r}; must be one of {', '.join(LOSS_KINDS)}"
 
 
 @dataclass(frozen=True)
 class TrainConfig(_Checked):
     _where = "train"
 
-    tau: float = 0.2
-    momentum_m: float = 0.999
-    queue_size: int = 512
-    label_ratio: float = 1.0
-    batch_size: int = 64
-    epochs: int = 30
-    lr: float = 0.06
-    sgd_momentum: float = 0.9
-    weight_decay: float = 5e-4
+    tau: float = _bounded(0.2, (">", 0))
+    momentum_m: float = _bounded(0.999, (">=", 0), ("<=", 1))
+    queue_size: int = _bounded(512, (">=", 1))
+    label_ratio: float = _bounded(1.0, (">=", 0), ("<=", 1))
+    batch_size: int = _bounded(64, (">=", 1), ("<=", "queue_size"))
+    epochs: int = _bounded(30, (">=", 0))
+    lr: float = _bounded(0.06, (">", 0))
+    sgd_momentum: float = _bounded(0.9, (">=", 0), ("<", 1))
+    weight_decay: float = _bounded(5e-4, (">=", 0))
     aug: AugConfig = field(default_factory=AugConfig)
-    loss: str = "unicon"
-    seed: int = 0
+    loss: str = _checked("unicon", _loss_kind)
+    seed: int = _bounded(0, (">=", 0))
 
     @property
     def single_positive(self) -> bool:
@@ -155,63 +178,21 @@ class TrainConfig(_Checked):
         return self.loss == "infonce" or self.label_ratio == 0.0
 
     def validate(self) -> list[str]:
-        problems = []
-        if self.tau <= 0:
-            problems.append("train.tau: must be > 0")
-        if not 0.0 <= self.momentum_m <= 1.0:
-            problems.append("train.momentum_m: must lie in [0, 1]")
-        if self.queue_size < 1:
-            problems.append("train.queue_size: must be >= 1")
-        if not 0.0 <= self.label_ratio <= 1.0:
-            problems.append("train.label_ratio: must lie in [0, 1]")
-        if self.batch_size < 1:
-            problems.append("train.batch_size: must be >= 1")
-        elif self.batch_size > self.queue_size:
-            problems.append("train.batch_size: must be <= queue_size")
-        if self.epochs < 0:
-            problems.append("train.epochs: must be >= 0")
-        if self.lr <= 0:
-            problems.append("train.lr: must be > 0")
-        if not 0.0 <= self.sgd_momentum < 1.0:
-            problems.append("train.sgd_momentum: must lie in [0, 1)")
-        if self.weight_decay < 0:
-            problems.append("train.weight_decay: must be >= 0")
-        if self.loss not in LOSS_KINDS:
-            problems.append(
-                f"train.loss: unknown loss {self.loss!r}; "
-                f"must be one of {', '.join(LOSS_KINDS)}"
-            )
-        if self.seed < 0:
-            problems.append("train.seed: must be >= 0")
         logits = self.batch_size * (1 + self.queue_size)
-        problems += _budget("train.batch_size", "batch_size * (1 + queue_size)", logits)
-        return problems
+        return _budget("train.batch_size", "batch_size * (1 + queue_size)", logits)
 
 
 @dataclass(frozen=True)
 class ProbeConfig(_Checked):
     _where = "probe"
 
-    epochs: int = 40
-    lr: float = 0.5
-    batch_size: int = 128
-    knn_k: int = 15
-    knn_temperature: float | None = None  # None = unweighted neighbor vote
-
-    def validate(self) -> list[str]:
-        problems = []
-        # bounded, so that a checkpoint file cannot ask `probe` for endless work
-        if not 1 <= self.epochs <= 1000:
-            problems.append("probe.epochs: must lie in [1, 1000]")
-        if self.lr <= 0:
-            problems.append("probe.lr: must be > 0")
-        if self.batch_size < 1:
-            problems.append("probe.batch_size: must be >= 1")
-        if self.knn_k < 1:
-            problems.append("probe.knn_k: must be >= 1")
-        if self.knn_temperature is not None and self.knn_temperature <= 0:
-            problems.append("probe.knn_temperature: must be > 0 (or null)")
-        return problems
+    # bounded, so that a checkpoint file cannot ask `probe` for endless work
+    epochs: int = _bounded(40, (">=", 1), ("<=", 1000))
+    lr: float = _bounded(0.5, (">", 0))
+    batch_size: int = _bounded(128, (">=", 1))
+    knn_k: int = _bounded(15, (">=", 1))
+    # None = unweighted neighbor vote
+    knn_temperature: float | None = _bounded(None, (">", 0))
 
 
 @dataclass(frozen=True)

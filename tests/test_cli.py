@@ -337,6 +337,31 @@ def test_compare_rejects_negative_seed_before_any_cell(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_compare_refuses_an_out_dir_at_a_file_before_any_cell(
+    workspace, capsys, pretrain_calls, under
+):
+    tmp_path, config, data = workspace
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "cmp" if under else taken
+    before = sorted(tmp_path.rglob("*"))
+    code = main(
+        ["compare", "--config", str(config), "--data", str(data),
+         "--losses", "unicon", "--alphas", "1", "--seeds", "0", "--verbose",
+         "--out-dir", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the error that mkdir gives, raised before the first cell trains
+    reason = "[Errno 20] Not a directory" if under else "[Errno 17] File exists"
+    assert captured.err == f"error: {reason}: '{out}'\n"
+    assert pretrain_calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     code = main(
         ["pretrain", "--config", str(tmp_path / "none.json"),

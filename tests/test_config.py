@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -181,6 +182,113 @@ def test_configs_built_in_code_are_checked(build, needle):
     # with_train, replace and constructors go through the same rules as JSON
     with pytest.raises(ConfigError, match=needle):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda v: TrainConfig(momentum_m=v), "train.momentum_m"),
+        (lambda v: TrainConfig(label_ratio=v), "train.label_ratio"),
+        (lambda v: TrainConfig(sgd_momentum=v), "train.sgd_momentum"),
+        (lambda v: AugConfig(dropout_p=v), "train.aug.dropout_p"),
+    ],
+    ids=["momentum_m", "label_ratio", "sgd_momentum", "dropout_p"],
+)
+def test_nan_in_an_interval_is_reported_once(build, where):
+    # NaN meets every bound, as no comparison with it holds; an infinity
+    # that lies outside one still fails it
+    with pytest.raises(ConfigError) as exc:
+        build(float("nan"))
+    assert exc.value.problems == [f"{where}: must be finite"]
+    with pytest.raises(ConfigError) as exc:
+        build(-math.inf)
+    assert exc.value.problems[0] == f"{where}: must be finite"
+    assert exc.value.problems[1].startswith(f"{where}: must lie in [0, 1")
+
+
+# One row per end of each declared bound: the section built from the value,
+# where the value sits, the bound, the direction out of it (-1 below a lower
+# end, +1 above an upper end), whether the end is closed, and the message.
+BOUND_ENDS = [
+    (lambda v: DatasetSpec(n_classes=v), "dataset.n_classes", 2, -1, True,
+     "must be >= 2"),
+    (lambda v: DatasetSpec(input_dim=v), "dataset.input_dim", 2, -1, True,
+     "must be >= 2"),
+    (lambda v: DatasetSpec(n_classes=7, n_train=v), "dataset.n_train", 7, -1, True,
+     "must be >= n_classes"),
+    (lambda v: DatasetSpec(n_classes=7, n_test=v), "dataset.n_test", 7, -1, True,
+     "must be >= n_classes"),
+    (lambda v: DatasetSpec(cluster_spread=v), "dataset.cluster_spread", 0.0, -1,
+     False, "must be > 0"),
+    (lambda v: DatasetSpec(mean_radius=v), "dataset.mean_radius", 0.0, -1, False,
+     "must be > 0"),
+    (lambda v: DatasetSpec(seed=v), "dataset.seed", 0, -1, True, "must be >= 0"),
+    (lambda v: ModelConfig(proj_hidden=v), "model.proj_hidden", 1, -1, True,
+     "must be >= 1 (or null)"),
+    (lambda v: ModelConfig(embed_dim=v), "model.embed_dim", 1, -1, True,
+     "must be >= 1"),
+    (lambda v: AugConfig(noise_std=v), "train.aug.noise_std", 0.0, -1, True,
+     "must be >= 0"),
+    (lambda v: AugConfig(dropout_p=v), "train.aug.dropout_p", 0.0, -1, True,
+     "must lie in [0, 1)"),
+    (lambda v: AugConfig(dropout_p=v), "train.aug.dropout_p", 1.0, +1, False,
+     "must lie in [0, 1)"),
+    (lambda v: TrainConfig(tau=v), "train.tau", 0.0, -1, False, "must be > 0"),
+    (lambda v: TrainConfig(momentum_m=v), "train.momentum_m", 0.0, -1, True,
+     "must lie in [0, 1]"),
+    (lambda v: TrainConfig(momentum_m=v), "train.momentum_m", 1.0, +1, True,
+     "must lie in [0, 1]"),
+    (lambda v: TrainConfig(batch_size=1, queue_size=v), "train.queue_size", 1, -1,
+     True, "must be >= 1"),
+    (lambda v: TrainConfig(label_ratio=v), "train.label_ratio", 0.0, -1, True,
+     "must lie in [0, 1]"),
+    (lambda v: TrainConfig(label_ratio=v), "train.label_ratio", 1.0, +1, True,
+     "must lie in [0, 1]"),
+    (lambda v: TrainConfig(batch_size=v), "train.batch_size", 1, -1, True,
+     "must be >= 1"),
+    (lambda v: TrainConfig(queue_size=100, batch_size=v), "train.batch_size", 100,
+     +1, True, "must be <= queue_size"),
+    (lambda v: TrainConfig(epochs=v), "train.epochs", 0, -1, True, "must be >= 0"),
+    (lambda v: TrainConfig(lr=v), "train.lr", 0.0, -1, False, "must be > 0"),
+    (lambda v: TrainConfig(sgd_momentum=v), "train.sgd_momentum", 0.0, -1, True,
+     "must lie in [0, 1)"),
+    (lambda v: TrainConfig(sgd_momentum=v), "train.sgd_momentum", 1.0, +1, False,
+     "must lie in [0, 1)"),
+    (lambda v: TrainConfig(weight_decay=v), "train.weight_decay", 0.0, -1, True,
+     "must be >= 0"),
+    (lambda v: TrainConfig(seed=v), "train.seed", 0, -1, True, "must be >= 0"),
+    (lambda v: ProbeConfig(epochs=v), "probe.epochs", 1, -1, True,
+     "must lie in [1, 1000]"),
+    (lambda v: ProbeConfig(epochs=v), "probe.epochs", 1000, +1, True,
+     "must lie in [1, 1000]"),
+    (lambda v: ProbeConfig(lr=v), "probe.lr", 0.0, -1, False, "must be > 0"),
+    (lambda v: ProbeConfig(batch_size=v), "probe.batch_size", 1, -1, True,
+     "must be >= 1"),
+    (lambda v: ProbeConfig(knn_k=v), "probe.knn_k", 1, -1, True, "must be >= 1"),
+    (lambda v: ProbeConfig(knn_temperature=v), "probe.knn_temperature", 0.0, -1,
+     False, "must be > 0 (or null)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, where, limit, out, closed, message",
+    BOUND_ENDS,
+    ids=[f"{row[1]}_{'upper' if row[3] > 0 else 'lower'}" for row in BOUND_ENDS],
+)
+def test_declared_bound_ends(build, where, limit, out, closed, message):
+    # a float steps to its neighbour, an integer by one
+    if isinstance(limit, float):
+        outside = math.nextafter(limit, out * math.inf)
+    else:
+        outside = limit + out
+    values = [outside] if closed else [outside, limit]
+    for value in values:
+        with pytest.raises(ConfigError) as exc:
+            build(value)
+        mine = [p for p in exc.value.problems if p.startswith(f"{where}:")]
+        assert mine == [f"{where}: {message}"], value
+    if closed:
+        build(limit)
 
 
 @pytest.mark.parametrize(
