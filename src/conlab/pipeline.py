@@ -257,34 +257,61 @@ def train_step(
 
 
 def _dataset_layout(spec: DatasetSpec):
-    """(name, shape, dtype) of each array field of a Dataset, in field order."""
+    """(name, shape, labels) of each array field of a Dataset, in field order;
+    see ``_array_problems`` for what ``labels`` declares."""
     c, d, n, m = spec.n_classes, spec.input_dim, spec.n_train, spec.n_test
     return [
-        ("means", (c, d), np.float64),
-        ("train_x", (n, d), np.float64),
-        ("train_y", (n,), np.int64),
-        ("test_x", (m, d), np.float64),
-        ("test_y", (m,), np.int64),
+        ("means", (c, d), None),
+        ("train_x", (n, d), None),
+        ("train_y", (n,), (0, c)),
+        ("test_x", (m, d), None),
+        ("test_y", (m,), (0, c)),
     ]
+
+
+def _array_problems(what: str, arrays, layout) -> list[str]:
+    """One message per array of ``layout`` that ``arrays`` lacks or that
+    breaks its rule, in layout order.
+
+    Each layout entry is ``(name, shape, labels)``: ``labels`` None declares
+    a finite float64 array, and ``(lo, hi)`` an int64 array of labels in
+    [lo, hi). Arrays the layout does not name are ignored, so a file that
+    still carries a field no longer read (a dataset's ``train_labels``)
+    loads.
+    """
+    problems = []
+    for name, shape, labels in layout:
+        if name not in arrays:
+            problems.append(f"{what} file lacks {name!r}")
+            continue
+        arr = np.asarray(arrays[name])
+        dtype = np.dtype(np.float64 if labels is None else np.int64)
+        if arr.shape != shape or arr.dtype != dtype:
+            problems.append(
+                f"{what} array {name!r} has shape {arr.shape} and dtype "
+                f"{arr.dtype}, expected {shape} and {dtype}"
+            )
+        elif labels is None and not np.all(np.isfinite(arr)):
+            problems.append(f"{what} array {name!r} holds non-finite values")
+        elif labels is not None and np.any((arr < labels[0]) | (arr >= labels[1])):
+            problems.append(
+                f"{what} array {name!r} holds labels outside [{labels[0]}, {labels[1]})"
+            )
+    return problems
 
 
 def check_dataset_matches(cfg: RunConfig, dataset: Dataset) -> None:
     """Raise ConfigError unless ``dataset`` was generated from ``cfg.dataset``
-    and holds the arrays its spec implies: one message per differing key,
-    then one per array of another shape or dtype."""
+    and each of its arrays keeps the rule its layout entry declares, as a
+    dataset file must: one message per differing key, then one per array
+    that breaks its rule."""
     want, have = asdict(cfg.dataset), asdict(dataset.spec)
     problems = [
         f"dataset.{key}: config has {want[key]!r}, file has {have[key]!r}"
         for key in sorted(want)
         if want[key] != have[key]
     ]
-    for name, shape, dtype in _dataset_layout(dataset.spec):
-        arr = np.asarray(getattr(dataset, name))
-        if arr.shape != shape or arr.dtype != dtype:
-            problems.append(
-                f"dataset array {name!r} has shape {arr.shape} and dtype "
-                f"{arr.dtype}, its spec implies {shape} and {np.dtype(dtype)}"
-            )
+    problems += _array_problems("dataset", vars(dataset), _dataset_layout(dataset.spec))
     if problems:
         raise ConfigError(problems)
 

@@ -14,6 +14,7 @@ truncated artifact under the final name.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .config import (
     spec_from_dict,
 )
 from .model import EncoderParams, leaves
-from .pipeline import Dataset, StepMetrics, TrainState, _dataset_layout
+from .pipeline import Dataset, StepMetrics, TrainState, _array_problems, _dataset_layout
 from .queues import UNIT_NORM_TOL, UNLABELED, PairQueue
 
 MAGIC = b"UMC1"
@@ -145,26 +146,6 @@ def read_container(path):
     return header, arrays
 
 
-def _check_arrays(what: str, arrays: dict, layout) -> None:
-    """Require every (name, shape, dtype) of ``layout`` among ``arrays``,
-    with finite values in every float array.
-
-    Arrays the layout does not name are ignored, so a file that still
-    carries a field no longer read (a dataset's ``train_labels``) loads.
-    """
-    for name, shape, dtype in layout:
-        if name not in arrays:
-            raise StorageError(f"{what} file lacks {name!r}")
-        arr = arrays[name]
-        if arr.shape != shape or arr.dtype != dtype:
-            raise StorageError(
-                f"{what} array {name!r} has shape {arr.shape} and dtype "
-                f"{arr.dtype}, expected {shape} and {np.dtype(dtype)}"
-            )
-        if arr.dtype == np.float64 and not np.all(np.isfinite(arr)):
-            raise StorageError(f"{what} array {name!r} holds non-finite values")
-
-
 def _is_count(value) -> bool:
     # a JSON integer, not a bool: array dims, checkpoint steps and cursors
     return type(value) is int and value >= 0
@@ -182,13 +163,8 @@ def _decode_dataset(header: dict, arrays: dict) -> Dataset:
         raise StorageError("dataset file lacks 'spec'")
     spec = spec_from_dict(header["spec"])
     layout = _dataset_layout(spec)
-    _check_arrays("dataset", arrays, layout)
-    for name in ("train_y", "test_y"):
-        labels = arrays[name]
-        if labels.size and (labels.min() < 0 or labels.max() >= spec.n_classes):
-            raise StorageError(
-                f"dataset array {name!r} holds labels outside [0, {spec.n_classes})"
-            )
+    if problems := _array_problems("dataset", arrays, layout):
+        raise StorageError(problems[0])
     return Dataset(spec=spec, **{name: arrays[name] for name, _, _ in layout})
 
 
@@ -210,26 +186,26 @@ def load_dataset(path) -> Dataset:
 
 
 def _checkpoint_layout(cfg: RunConfig):
-    """(name, shape, dtype) of every array of a state trained under ``cfg``,
+    """(name, shape, labels) of every array of a state trained under ``cfg``,
     in stored order: each layer of q, k and v (w, then b), then the queue."""
     m, q, dims = cfg.model, cfg.train.queue_size, cfg.layer_dims
     stems = [f"trunk.{i}" for i in range(len(m.trunk))] + ["proj.0", "proj.1"]
     layout = []
     for tree in "qkv":
         for stem, a, b in zip(stems, dims, dims[1:]):
-            layout.append((f"{tree}.{stem}.w", (a, b), np.float64))
-            layout.append((f"{tree}.{stem}.b", (b,), np.float64))
-    layout.append(("queue.features", (q, m.embed_dim), np.float64))
-    layout.append(("queue.labels", (q,), np.int64))
+            layout.append((f"{tree}.{stem}.w", (a, b), None))
+            layout.append((f"{tree}.{stem}.b", (b,), None))
+    layout.append(("queue.features", (q, m.embed_dim), None))
+    layout.append(("queue.labels", (q,), (UNLABELED, cfg.dataset.n_classes)))
     return layout
 
 
 def _decode_checkpoint(header: dict, arrays: dict) -> tuple[TrainState, RunConfig]:
-    """The (state, config) of a file whose arrays have the layout its config
-    implies, whose step lies within that config's run, and whose queue keeps
-    its rules: unit-norm rows (to ``push_batch``'s tolerance), labels in
-    [UNLABELED, n_classes) and the cursor ``step`` full batches reach. Header
-    keys other than config, step and queue cursor are ignored."""
+    """The (state, config) of a file whose arrays keep the rules its config's
+    layout declares (queue labels in [UNLABELED, n_classes) among them), whose
+    step lies within that config's run, and whose queue has unit-norm rows
+    (to ``push_batch``'s tolerance) and the cursor ``step`` full batches
+    reach. Header keys other than config, step and queue cursor are ignored."""
     if header.get("kind") != "checkpoint":
         raise StorageError(f"not a checkpoint file (kind={header.get('kind')!r})")
     try:
@@ -250,7 +226,8 @@ def _decode_checkpoint(header: dict, arrays: dict) -> tuple[TrainState, RunConfi
             f"got {queue!r}"
         )
     layout = _checkpoint_layout(cfg)
-    _check_arrays("checkpoint", arrays, layout)
+    if problems := _array_problems("checkpoint", arrays, layout):
+        raise StorageError(problems[0])
     values = iter([arrays[name] for name, _, _ in layout])
     # (w, b) of every layer of q, k and v in turn, then (features, labels)
     pairs = list(zip(values, values))
@@ -259,11 +236,6 @@ def _decode_checkpoint(header: dict, arrays: dict) -> tuple[TrainState, RunConfi
         norms = np.linalg.norm(features, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise StorageError("checkpoint queue holds a feature row that is not unit-norm")
-    n_classes = cfg.dataset.n_classes
-    if labels.min() < UNLABELED or labels.max() >= n_classes:
-        raise StorageError(
-            f"checkpoint queue holds labels outside [{UNLABELED}, {n_classes})"
-        )
     n = len(pairs) // 3
     state = TrainState(
         *(EncoderParams(tuple(pairs[i : i + n])) for i in range(0, 3 * n, n)),
@@ -319,15 +291,19 @@ class MetricsWriter:
 
     Opening rewrites the file as the header plus its rows before
     ``start_step``, so that a run resumed from a checkpoint at that step
-    appends each later step exactly once. A fresh run (``start_step`` 0)
-    keeps no row and does not read the file.
+    appends each later step exactly once. Rows are written in step order, so
+    parsing stops at the first row it would drop, and a last row that a
+    killed run tore (its newline missing) is never parsed. A fresh run
+    (``start_step`` 0) keeps no row and does not read the file.
     """
 
     def __init__(self, path, start_step: int = 0):
         self.path = os.fspath(path)
         kept = []
         if start_step > 0 and os.path.exists(self.path):
-            kept = [m for m in read_metrics(self.path) if m.step < start_step]
+            lines = _metrics_lines(self.path)
+            rows = (_parse_metrics_row(*r) for r in lines if r[1].endswith("\n"))
+            kept = list(itertools.takewhile(lambda m: m.step < start_step, rows))
         lines = [METRICS_HEADER] + [format_metrics_row(m) for m in kept]
         atomic_write_text(self.path, "".join(f"{line}\n" for line in lines))
         self._fh = open(self.path, "a", encoding="utf-8")
@@ -348,24 +324,28 @@ class MetricsWriter:
 
 
 def read_metrics(path) -> list[StepMetrics]:
-    rows = []
+    return [_parse_metrics_row(*row) for row in _metrics_lines(path)]
+
+
+def _metrics_lines(path) -> list[tuple[int, str]]:
+    """(line number, text with its newline) of each non-blank row of a
+    metrics file, after its header."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != METRICS_HEADER:
             raise StorageError(f"unexpected metrics header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            values = line.split(",")
-            if len(values) != len(_METRIC_COLUMNS):
-                raise StorageError(
-                    f"metrics line {lineno}: {len(values)} columns, "
-                    f"expected {len(_METRIC_COLUMNS)}"
-                )
-            pairs = zip(_METRIC_COLUMNS, values)
-            rows.append(StepMetrics(**{name: kind(v) for (name, kind), v in pairs}))
-    return rows
+        return [(n, line) for n, line in enumerate(fh, start=2) if line.strip()]
+
+
+def _parse_metrics_row(lineno: int, line: str) -> StepMetrics:
+    values = line.strip().split(",")
+    if len(values) != len(_METRIC_COLUMNS):
+        raise StorageError(
+            f"metrics line {lineno}: {len(values)} columns, "
+            f"expected {len(_METRIC_COLUMNS)}"
+        )
+    pairs = zip(_METRIC_COLUMNS, values)
+    return StepMetrics(**{name: kind(v) for (name, kind), v in pairs})
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,38 @@ def misshapen_dataset(request, small_dataset):
     )
 
 
+# one value per rule a dataset array can break, as (array, index, value):
+# labels outside [0, n_classes) and non-finite floats
+BROKEN_VALUES = {
+    "train_y_n_classes": ("train_y", 0, 3),
+    "train_y_negative": ("train_y", 5, -1),
+    "test_y_n_classes": ("test_y", 0, 3),
+    "test_y_negative": ("test_y", 5, -1),
+    **{
+        f"{name}_{value}": (name, (1, 2), value)
+        for name in ("means", "train_x", "test_x")
+        for value in (np.nan, np.inf)
+    },
+}
+
+
+@pytest.fixture(params=sorted(BROKEN_VALUES) + ["train_y_list"])
+def broken_dataset(request, small_dataset):
+    """``small_dataset`` with one value its array's rule forbids, and the one
+    message that names it. In the ``train_y_list`` case the labels are a
+    plain list holding a label equal to n_classes."""
+    as_list = request.param == "train_y_list"
+    case = "train_y_n_classes" if as_list else request.param
+    name, index, value = BROKEN_VALUES[case]
+    arr = getattr(small_dataset, name).copy()
+    arr[index] = value
+    if as_list:
+        arr = arr.tolist()
+    rule = "labels outside [0, 3)" if name.endswith("_y") else "non-finite values"
+    message = f"dataset array {name!r} holds {rule}"
+    return dataclasses.replace(small_dataset, **{name: arr}), message
+
+
 @pytest.fixture()
 def pretrain_calls(monkeypatch):
     """The (loss, label ratio, seed) of each training a grid starts, in

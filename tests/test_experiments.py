@@ -13,7 +13,7 @@ from conlab.experiments import (
     compare_to_dict,
     compare_to_text,
 )
-from conlab.pipeline import pretrain
+from conlab.pipeline import init_state, pretrain
 from conlab.probes import run_probes
 
 
@@ -112,6 +112,27 @@ def test_grid_refuses_arrays_their_spec_does_not_give(
     cfg = with_train(small_cfg, epochs=1)
     with pytest.raises(ConfigError, match="dataset array 'train_x' has shape"):
         compare_grid(misshapen_dataset, cfg, ("unicon",), (1.0,), (0,))
+    assert pretrain_calls == []
+
+
+@pytest.mark.parametrize("entry", ["pretrain", "run_probes", "compare_grid"])
+def test_library_refuses_values_a_dataset_file_may_not_hold(
+    small_cfg, broken_dataset, pretrain_calls, entry
+):
+    # a label outside [0, n_classes) would enter the label queue, and a
+    # non-finite input would surface only as divergence some steps later
+    dataset, message = broken_dataset
+    cfg = with_train(small_cfg, epochs=1)
+    rows = []
+    calls = {
+        "pretrain": lambda: pretrain(dataset, cfg, step_callback=rows.append),
+        "run_probes": lambda: run_probes(init_state(cfg).params_q, dataset, cfg),
+        "compare_grid": lambda: compare_grid(dataset, cfg, ("unicon",), (1.0,), (0,)),
+    }
+    with pytest.raises(ConfigError) as info:
+        calls[entry]()
+    assert info.value.problems == [message]
+    assert rows == []
     assert pretrain_calls == []
 
 

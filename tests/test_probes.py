@@ -480,9 +480,9 @@ def test_run_probes_refuses_arrays_their_spec_does_not_give(
         run_probes(params, misshapen_dataset, small_cfg)
     assert info.value.problems == [
         f"dataset array 'train_x' has shape ({rows}, 8) and dtype float64, "
-        "its spec implies (240, 8) and float64",
+        "expected (240, 8) and float64",
         f"dataset array 'train_y' has shape ({rows},) and dtype int64, "
-        "its spec implies (240,) and int64",
+        "expected (240,) and int64",
     ]
 
 

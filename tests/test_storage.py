@@ -2,15 +2,15 @@
 
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 from conftest import params_equal
 
-from conlab.config import RunConfig, config_digest, with_train
-from conlab.pipeline import StepMetrics, init_state, pretrain
+from conlab.config import ConfigError, RunConfig, config_digest, with_train
+from conlab.pipeline import StepMetrics, check_dataset_matches, init_state, pretrain
 from conlab.storage import (
     FORMAT_VERSION,
     MAGIC,
@@ -285,6 +285,47 @@ def test_save_dataset_refuses_labels_outside_n_classes(
     assert list(tmp_path.iterdir()) == []
 
 
+def _refusals(path, cfg, dataset):
+    """What ``check_dataset_matches``, ``save_dataset`` and ``load_dataset``
+    (of a file holding the same arrays) say of ``dataset``."""
+    with pytest.raises(ConfigError) as checked:
+        check_dataset_matches(cfg, dataset)
+    with pytest.raises(StorageError) as saved:
+        save_dataset(path, dataset)
+    names = ["means", "train_x", "train_y", "test_x", "test_y"]
+    arrays = [(name, np.asarray(getattr(dataset, name))) for name in names]
+    write_container(path, {"kind": "dataset", "spec": asdict(dataset.spec)}, arrays)
+    with pytest.raises(StorageError) as loaded:
+        load_dataset(path)
+    return checked.value.problems, str(saved.value), str(loaded.value)
+
+
+def test_a_broken_dataset_array_gets_one_message_wherever_it_comes_from(
+    tmp_path, small_cfg, broken_dataset
+):
+    dataset, message = broken_dataset
+    assert _refusals(tmp_path / "d.umc", small_cfg, dataset) == (
+        [message],
+        message,
+        message,
+    )
+
+
+def test_a_misshapen_dataset_array_gets_one_message_wherever_it_comes_from(
+    tmp_path, small_cfg, misshapen_dataset
+):
+    rows = misshapen_dataset.train_y.size
+    path = tmp_path / "d.umc"
+    problems, saved, loaded = _refusals(path, small_cfg, misshapen_dataset)
+    assert problems == [
+        f"dataset array 'train_x' has shape ({rows}, 8) and dtype float64, "
+        "expected (240, 8) and float64",
+        f"dataset array 'train_y' has shape ({rows},) and dtype int64, "
+        "expected (240,) and int64",
+    ]
+    assert saved == loaded == problems[0]
+
+
 def test_save_checkpoint_refuses_state_past_the_last_step(
     tmp_path, small_cfg, small_dataset
 ):
@@ -348,6 +389,29 @@ def test_metrics_resume_keeps_rows_before_start_step(tmp_path):
         assert path.read_text() == "".join(before[:3])  # header, steps 0 and 1
         w.write(rows[2])
     assert path.read_text() == "".join(before)  # one header, each row once
+
+
+@pytest.mark.parametrize(
+    "torn_line, kept_bytes",
+    [(-1, -30), (11, 20), (11, 1)],  # line 11 after the header's 0 is step 10
+    ids=["last_row", "row_at_start_step", "step_of_row_at_start_step"],
+)
+def test_metrics_resume_drops_a_torn_row_past_start_step(
+    tmp_path, small_cfg, small_dataset, torn_line, kept_bytes
+):
+    # a run killed mid-row leaves its last row torn, even the first row a run
+    # resumed from step 10 writes; resuming from step 10 again drops that row
+    # unparsed and writes it again whole
+    path = tmp_path / "m.csv"
+    with MetricsWriter(path) as w:
+        pretrain(small_dataset, small_cfg, step_callback=w.write)
+    whole = path.read_bytes()
+    torn = whole.splitlines(keepends=True)[torn_line]
+    path.write_bytes(whole[: whole.index(torn)] + torn[:kept_bytes])
+    state = pretrain(small_dataset, small_cfg, max_steps=10)
+    with MetricsWriter(path, start_step=10) as w:
+        pretrain(small_dataset, small_cfg, state=state, step_callback=w.write)
+    assert path.read_bytes() == whole
 
 
 def test_metrics_resume_over_missing_file_writes_header(tmp_path):
