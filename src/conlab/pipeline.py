@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import AugConfig, ConfigError, DatasetSpec, RunConfig, TrainConfig
+from .config import AugConfig, ConfigError, DatasetSpec, RunConfig
 from .losses import loss_batch
 from .model import (
     EncoderParams,
@@ -34,7 +34,9 @@ from .queues import UNLABELED, PairQueue, build_target, init_queue, push_batch
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss or gradient stops being finite."""
+    """Raised when training blows up: an embedding that cannot be
+    normalized, a non-finite loss or gradient norm, or updated query
+    weights that are not finite."""
 
 
 @dataclass(frozen=True)
@@ -181,20 +183,21 @@ def _encode(params: EncoderParams, x: np.ndarray, step: int):
 
 
 def train_step(
-    state: TrainState,
-    x: np.ndarray,
-    labels: np.ndarray,
-    train_cfg: TrainConfig,
-    lr: float,
-    rng: Rng,
-    epoch: int = 0,
+    state: TrainState, x: np.ndarray, labels: np.ndarray, cfg: RunConfig
 ) -> tuple[TrainState, StepMetrics]:
-    """One optimization step on a batch of (input, training-label) pairs.
+    """One optimization step of the run ``cfg`` on a batch of (input,
+    training-label) pairs; its epoch, learning rate and augmentation stream
+    follow from ``state.step``, so every caller takes the step ``pretrain``
+    takes.
 
     Order matters: logits and targets are computed against the queue as it
     was *before* this batch's keys are pushed, and the key encoder moves
     after the query update so it trails the freshly stepped query weights.
     """
+    train_cfg = cfg.train
+    epoch = state.step // cfg.steps_per_epoch
+    lr = cosine_lr(train_cfg.lr, epoch, train_cfg.epochs)
+    rng = Rng(train_cfg.seed).stream("aug", state.step)
     n = x.shape[0]
     x_q = augment(x, train_cfg.aug, rng.stream("q"))
     x_k = augment(x, train_cfg.aug, rng.stream("k"))
@@ -227,14 +230,17 @@ def train_step(
     grads = backward(tape, grad_q)
     gnorm = global_norm(grads)
 
-    if not np.isfinite(loss) or not np.isfinite(gnorm):
-        raise DivergenceError(f"divergence at step {state.step}")
-
     def _velocity(v, g, p):
         return train_cfg.sgd_momentum * v + g + train_cfg.weight_decay * p
 
-    velocity = map_leaves(_velocity, state.velocity, grads, state.params_q)
-    params_q = map_leaves(lambda p, v: p - lr * v, state.params_q, velocity)
+    # an update that overflows the weights is divergence, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        velocity = map_leaves(_velocity, state.velocity, grads, state.params_q)
+        params_q = map_leaves(lambda p, v: p - lr * v, state.params_q, velocity)
+    if not (
+        np.isfinite(loss) and np.isfinite(gnorm) and np.isfinite(params_q.flat).all()
+    ):
+        raise DivergenceError(f"divergence at step {state.step}")
     params_k = momentum_update(state.params_k, params_q, train_cfg.momentum_m)
     queue = push_batch(state.queue, k, labels)
 
@@ -336,33 +342,22 @@ def pretrain(
     ``step_callback``, if given; the final state is returned.
     """
     check_dataset_matches(cfg, dataset)
-    train_cfg = cfg.train
-    labels = mask_labels(dataset.train_y, train_cfg.label_ratio, Rng(cfg.dataset.seed))
+    labels = mask_labels(dataset.train_y, cfg.train.label_ratio, Rng(cfg.dataset.seed))
     if state is None:
         state = init_state(cfg)
-    root = Rng(train_cfg.seed)
-    spe = cfg.steps_per_epoch
+    root = Rng(cfg.train.seed)
+    spe, bs = cfg.steps_per_epoch, cfg.train.batch_size
     stop = cfg.total_steps if max_steps is None else min(cfg.total_steps, max_steps)
 
     perm = None
     perm_epoch = -1
     while state.step < stop:
-        epoch = state.step // spe
+        epoch, b = divmod(state.step, spe)
         if epoch != perm_epoch:
             perm = root.stream("shuffle", epoch).permutation(cfg.dataset.n_train)
             perm_epoch = epoch
-        b = state.step % spe
-        idx = perm[b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size]
-        lr = cosine_lr(train_cfg.lr, epoch, train_cfg.epochs)
-        state, metrics = train_step(
-            state,
-            dataset.train_x[idx],
-            labels[idx],
-            train_cfg,
-            lr,
-            root.stream("aug", state.step),
-            epoch=epoch,
-        )
+        idx = perm[b * bs : (b + 1) * bs]
+        state, metrics = train_step(state, dataset.train_x[idx], labels[idx], cfg)
         if step_callback is not None:
             step_callback(metrics)
     return state

@@ -241,6 +241,27 @@ def test_pretrain_divergence_exit_code(workspace, tmp_path, capsys):
     assert not (out / "checkpoint.umc").exists()
 
 
+def test_pretrain_update_overflowing_the_weights_exit_3(workspace, tmp_path, capsys):
+    # the first update overflows the weights: step 0 diverges before its row
+    # and before any checkpoint could store infinite weights
+    _, config, data = workspace
+    doc = dict(SMALL_CONFIG)
+    doc["train"] = dict(SMALL_CONFIG["train"], lr=1e308, weight_decay=100.0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "diverged"
+    code = main(
+        ["pretrain", "--config", str(bad), "--data", str(data),
+         "--out-dir", str(out), "--max-steps", "1"]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: divergence at step 0 (partial metrics retained)\n"
+    )
+    assert read_metrics(out / "metrics.csv") == []
+    assert not (out / "checkpoint.umc").exists()
+
+
 def test_probe_appends_to_report(workspace):
     tmp_path, config, data = workspace
     out = tmp_path / "run"
@@ -831,6 +852,11 @@ BAD_QUEUE_VALUES = {
     "feature_huge": ("queue.features", _set((0, 0), 1e300), "not unit-norm"),
     "label_above_n_classes": ("queue.labels", _set(0, 7), "labels outside [-1, 3)"),
     "label_below_unlabeled": ("queue.labels", _set(0, -5), "labels outside [-1, 3)"),
+    "label_n_classes": (
+        "queue.labels",
+        _set(1, 3),
+        "error: checkpoint array 'queue.labels' holds labels outside [-1, 3)\n",
+    ),
 }
 
 

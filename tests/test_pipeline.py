@@ -208,9 +208,7 @@ def test_train_step_updates_state(small_cfg, small_dataset):
     state = init_state(small_cfg)
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
-    new_state, metrics = train_step(
-        state, x, labels, train_cfg, lr=0.05, rng=Rng(0).stream("aug", 0)
-    )
+    new_state, metrics = train_step(state, x, labels, small_cfg)
     assert new_state.step == 1
     assert not params_equal(new_state.params_q, state.params_q)
     # the batch labels landed in the queue at the previous cursor
@@ -223,13 +221,11 @@ def test_train_step_updates_state(small_cfg, small_dataset):
 
 @pytest.mark.parametrize("loss", ["unicon", "infonce"])
 def test_train_step_builds_new_trees_and_plain_metrics(small_cfg, small_dataset, loss):
-    train_cfg = with_train(small_cfg, loss=loss).train
-    state = init_state(small_cfg)
-    x = small_dataset.train_x[: train_cfg.batch_size]
-    labels = small_dataset.train_y[: train_cfg.batch_size]
-    new_state, metrics = train_step(
-        state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0)
-    )
+    cfg = with_train(small_cfg, loss=loss)
+    state = init_state(cfg)
+    x = small_dataset.train_x[: cfg.train.batch_size]
+    labels = small_dataset.train_y[: cfg.train.batch_size]
+    new_state, metrics = train_step(state, x, labels, cfg)
     old = (state.params_q, state.params_k, state.velocity)
     new = (new_state.params_q, new_state.params_k, new_state.velocity)
     for a, b in combinations(old + new, 2):
@@ -244,9 +240,7 @@ def test_train_step_key_encoder_trails_query(small_cfg, small_dataset):
     state = init_state(small_cfg)
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
-    new_state, _ = train_step(
-        state, x, labels, train_cfg, lr=0.05, rng=Rng(0).stream("aug", 0)
-    )
+    new_state, _ = train_step(state, x, labels, small_cfg)
     m = train_cfg.momentum_m
     for k_new, k_old, q_new in zip(
         leaves(new_state.params_k),
@@ -257,19 +251,19 @@ def test_train_step_key_encoder_trails_query(small_cfg, small_dataset):
 
 
 def test_train_step_infonce_ignores_queue_labels(small_cfg, small_dataset, on_loss):
-    train_cfg = with_train(small_cfg, loss="infonce").train
-    state = init_state(small_cfg)
+    cfg = with_train(small_cfg, loss="infonce")
+    state = init_state(cfg)
     # seed the queue with labels that would match
-    x = small_dataset.train_x[: train_cfg.batch_size]
-    labels = small_dataset.train_y[: train_cfg.batch_size]
-    state, _ = train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0))
+    x = small_dataset.train_x[: cfg.train.batch_size]
+    labels = small_dataset.train_y[: cfg.train.batch_size]
+    state, _ = train_step(state, x, labels, cfg)
     seen = {}
 
     def check(logits, targets):
         seen["positives"] = targets.sum(axis=1)
 
     on_loss(check)
-    _, metrics = train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 1))
+    _, metrics = train_step(state, x, labels, cfg)
     assert metrics.mean_positives == 1.0
     assert np.array_equal(seen["positives"], np.ones(x.shape[0]))
 
@@ -280,12 +274,12 @@ def test_train_step_logits_pair_each_query_with_its_key_then_the_queue(
     train_cfg = small_cfg.train
     state = init_state(small_cfg)
     x = small_dataset.train_x[: train_cfg.batch_size]
-    rng = Rng(0).stream("aug", 0)
+    rng = Rng(train_cfg.seed).stream("aug", 0)
     q, _ = forward(state.params_q, augment(x, train_cfg.aug, rng.stream("q")))
     k, _ = forward(state.params_k, augment(x, train_cfg.aug, rng.stream("k")))
     seen = []
     on_loss(lambda logits, targets: seen.append(logits.copy()))
-    train_step(state, x, small_dataset.train_y[: x.shape[0]], train_cfg, 0.05, rng)
+    train_step(state, x, small_dataset.train_y[: x.shape[0]], small_cfg)
     want = np.hstack([np.sum(q * k, axis=1)[:, None], q @ state.queue.features.T])
     assert np.array_equal(seen[0], want / train_cfg.tau)
 
@@ -314,8 +308,8 @@ def test_train_step_query_gradient_takes_the_whole_queue_product(batch, monkeypa
     monkeypatch.setattr(conlab.pipeline, "loss_batch", loss_batch)
     monkeypatch.setattr(conlab.pipeline, "backward", backward)
     x, labels = dataset.train_x[:batch], dataset.train_y[:batch]
-    rng = Rng(0).stream("aug", 0)
-    train_step(state, x, labels, cfg.train, 0.05, rng)
+    rng = Rng(cfg.train.seed).stream("aug", 0)
+    train_step(state, x, labels, cfg)
     k, _ = forward(state.params_k, augment(x, cfg.train.aug, rng.stream("k")))
     g = seen["grad_logits"]
     want = (g[:, :1] * k + g[:, 1:] @ state.queue.features) / (cfg.train.tau * batch)
@@ -329,7 +323,7 @@ def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
     on_loss(lambda logits, targets: captured.append((logits.shape, targets.shape)))
     x = small_dataset.train_x[: train_cfg.batch_size]
     labels = small_dataset.train_y[: train_cfg.batch_size]
-    train_step(state, x, labels, train_cfg, 0.05, Rng(0).stream("aug", 0))
+    train_step(state, x, labels, small_cfg)
     assert captured == [
         ((train_cfg.batch_size, 1 + train_cfg.queue_size),
          (train_cfg.batch_size, 1 + train_cfg.queue_size))
@@ -382,6 +376,28 @@ def test_pretrain_resume_matches_uninterrupted(small_cfg, small_dataset):
     assert np.array_equal(end_state.queue.features, full_state.queue.features)
     assert np.array_equal(end_state.queue.labels, full_state.queue.labels)
     assert first_hist + rest_hist == full_hist
+
+
+def test_train_step_past_epoch_0_takes_the_step_pretrain_takes(small_cfg, small_dataset):
+    # three steps into epoch 1: the lr has left the base rate, and the step
+    # must derive the epoch, lr and augmentation stream pretrain derives
+    cfg = small_cfg
+    spe, bs = cfg.steps_per_epoch, cfg.train.batch_size
+    state = pretrain(small_dataset, cfg, max_steps=spe + 3)
+    want = pretrain(small_dataset, cfg, max_steps=spe + 4)
+    perm = Rng(cfg.train.seed).stream("shuffle", 1).permutation(cfg.dataset.n_train)
+    idx = perm[3 * bs : 4 * bs]
+    labels = mask_labels(
+        small_dataset.train_y, cfg.train.label_ratio, Rng(cfg.dataset.seed)
+    )
+    new_state, metrics = train_step(state, small_dataset.train_x[idx], labels[idx], cfg)
+    assert metrics.step == spe + 3
+    assert metrics.epoch == 1
+    assert metrics.lr == cosine_lr(cfg.train.lr, 1, cfg.train.epochs)
+    for name in ("params_q", "params_k", "velocity"):
+        assert params_equal(getattr(new_state, name), getattr(want, name)), name
+    assert np.array_equal(new_state.queue.features, want.queue.features)
+    assert np.array_equal(new_state.queue.labels, want.queue.labels)
 
 
 def test_pretrain_alpha_zero_unicon_equals_infonce(small_cfg, small_dataset, on_loss):
@@ -487,6 +503,18 @@ def test_pretrain_divergence_detected(small_cfg, small_dataset):
     cfg = with_train(small_cfg, lr=1e12, epochs=2)
     with pytest.raises(DivergenceError, match="divergence at step"):
         pretrain(small_dataset, cfg)
+
+
+def test_pretrain_update_overflowing_the_weights_diverges_at_its_step(
+    small_cfg, small_dataset
+):
+    # lr · weight_decay · w overflows in the first update: that step is the
+    # divergence, with no overflow warning and no row from infinite weights
+    cfg = with_train(small_cfg, lr=1e308, weight_decay=100.0)
+    rows = []
+    with pytest.raises(DivergenceError, match="divergence at step 0$"):
+        pretrain(small_dataset, cfg, step_callback=rows.append)
+    assert rows == []
 
 
 def test_pretrain_loss_descends():
