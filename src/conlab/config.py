@@ -7,9 +7,12 @@ name must fail loudly, not silently train with a default.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import ClassVar, get_args, get_type_hints
@@ -64,8 +67,6 @@ def _bounded(default, *bounds):
         says = [f"{message} (or null)" for message in says]
 
     def check(section, value):
-        if value is None and default is None:
-            return None
         for (op, limit), message in zip(bounds, says):
             limit = getattr(section, limit) if isinstance(limit, str) else limit
             if _REJECTS[op](value, limit):
@@ -74,25 +75,80 @@ def _bounded(default, *bounds):
     return _checked(default, check)
 
 
+def _integer(v):
+    """v as an int: a Python or NumPy integer, not a bool; else None."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+
+
+def _number(v):
+    """v as a float: a real number, not a bool nor an integer too large for
+    a float; else None. NaN and ±inf convert, to be refused as not finite."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError):
+            return float(v)
+
+
+def _integers(v):
+    """v as a tuple of ints, from a list or tuple of integers; else None."""
+    if isinstance(v, (list, tuple)) and all(_integer(x) is not None for x in v):
+        return tuple(map(int, v))
+
+
+# Per field type: the conversion, which gives None for a value of another
+# type, and what the message expects
+_TYPES = {
+    int: (_integer, "an integer"),
+    float: (_number, "a number"),
+    str: (lambda v: str(v) if isinstance(v, str) else None, "a string"),
+    tuple[int, ...]: (_integers, "a list of integers"),
+}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Maps each field's name to the field and its type (`T | None` read as
+    T), in field order. Computed once per class: `get_type_hints` costs
+    more than a construction."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (f, get_args(hints[f.name])[0] if f.default is None else hints[f.name])
+        for f in fields(cls)
+    }
+
+
 class _Checked:
     """A config section, and a whole config, checks its own rules when it is
     built, so one from JSON, `with_train`, `dataclasses.replace` or a
-    constructor call is valid, and no caller re-checks it. A field's rule
-    is declared on the field (`_bounded`, `_checked`), and `validate()`
-    holds the rest: the element budgets, and the rules that span sections.
-    `_where` names the section in messages."""
+    constructor call is valid, and no caller re-checks it. Each field, in
+    field order, is checked and converted to its type (an int field holds
+    an int, a float field a float, `trunk` a tuple of ints), then checked
+    to be finite, then against the rule declared on it (`_bounded`,
+    `_checked`). A field of the wrong type takes its default, so a later
+    field's rule that reads it still runs. `validate()` holds the rest: the
+    element budgets, and the rules that span sections. `_where` names the
+    section in messages."""
 
     _where: ClassVar[str]
 
     def __post_init__(self):
-        problems = [
-            f"{self._where}.{f.name}: must be finite"
-            for f in fields(self)
-            if isinstance(v := getattr(self, f.name), float) and not math.isfinite(v)
-        ]
-        for f in fields(self):
-            check = f.metadata.get("check")
-            if check and (says := check(self, getattr(self, f.name))):
+        problems = []
+        for f, hint in _field_types(type(self)).values():
+            value = getattr(self, f.name)
+            if value is None and f.default is None:  # an optional field
+                continue
+            if hint in _TYPES:
+                convert, expected = _TYPES[hint]
+                if (value := convert(value)) is None:
+                    if f.default is None:
+                        expected += " or null"
+                    problems.append(f"{self._where}.{f.name}: expected {expected}")
+                    object.__setattr__(self, f.name, f.default)
+                    continue
+                object.__setattr__(self, f.name, value)
+            if isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"{self._where}.{f.name}: must be finite")
+            if (check := f.metadata.get("check")) and (says := check(self, value)):
                 problems.append(f"{self._where}.{f.name}: {says}")
         problems += self.validate()
         if problems:
@@ -245,59 +301,17 @@ class RunConfig(_Checked):
         )
 
 
-def _is_number(v) -> bool:
-    """A JSON number that is a finite float: not NaN or ±Infinity, which
-    `json.load` accepts, and not an integer too large for a float."""
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-# JSON checks per field type: (accepts, convert, what the message expects)
-_JSON_TYPES = {
-    int: (lambda v: type(v) is int, int, "an integer"),
-    float: (_is_number, float, "a number"),
-    str: (lambda v: isinstance(v, str), str, "a string"),
-    tuple[int, ...]: (
-        lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v),
-        tuple,
-        "a list of integers",
-    ),
-}
-
-
-def _field_types(cls) -> dict:
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
 def _section_from_dict(cls, data, where: str, problems: list[str]):
     if not isinstance(data, dict):
         problems.append(f"{where}: expected an object")
         return cls()
     types = _field_types(cls)
-    kwargs = {}
-    for key, value in data.items():
-        if key not in types:
-            problems.append(f"{where}.{key}: unknown key")
-            continue
-        hint = types[key]
-        if is_dataclass(hint):  # nested section
-            kwargs[key] = _section_from_dict(hint, value, f"{where}.{key}", problems)
-            continue
-        optional = type(None) in get_args(hint)  # `T | None`
-        if optional:
-            if value is None:
-                kwargs[key] = None
-                continue
-            hint = get_args(hint)[0]
-        accepts, convert, expected = _JSON_TYPES[hint]
-        if accepts(value):
-            kwargs[key] = convert(value)
-        else:
-            problems.append(
-                f"{where}.{key}: expected {expected}{' or null' if optional else ''}"
+    problems += [f"{where}.{key}: unknown key" for key in data if key not in types]
+    kwargs = {key: value for key, value in data.items() if key in types}
+    for key, (_, hint) in types.items():
+        if key in kwargs and is_dataclass(hint):  # nested section
+            kwargs[key] = _section_from_dict(
+                hint, kwargs[key], f"{where}.{key}", problems
             )
     try:
         return cls(**kwargs)
@@ -309,16 +323,15 @@ def _section_from_dict(cls, data, where: str, problems: list[str]):
 def config_from_dict(data: dict) -> RunConfig:
     """Parse and validate a config document; raises ConfigError with every
     problem found, not just the first."""
-    problems: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["config: expected a JSON object"])
-    sections = {}
     types = _field_types(RunConfig)
-    for key, value in data.items():
-        if key not in types:
-            problems.append(f"{key}: unknown section")
-            continue
-        sections[key] = _section_from_dict(types[key], value, key, problems)
+    problems = [f"{key}: unknown section" for key in data if key not in types]
+    sections = {
+        key: _section_from_dict(types[key][1], value, key, problems)
+        for key, value in data.items()
+        if key in types
+    }
     if problems:
         raise ConfigError(problems)
     return RunConfig(**sections)

@@ -103,10 +103,9 @@ def read_container(path):
         raise StorageError(f"corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise StorageError("corrupt header: not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise StorageError(
-            f"unsupported format version {header.get('format_version')!r}"
-        )
+    version = header.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # nor True, nor 1.0
+        raise StorageError(f"unsupported format version {version!r}")
     entries = header.get("arrays")
     if not isinstance(entries, list):
         raise StorageError("corrupt header: 'arrays' is not a list")

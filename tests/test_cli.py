@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import struct
 import subprocess
@@ -22,6 +23,7 @@ from conftest import params_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conlab
 from conlab import cli
 from conlab.cli import main
 from conlab.config import (
@@ -408,8 +410,8 @@ def test_bad_config_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, needle",
     [
-        ('{"train": {"tau": NaN}}', "train.tau"),
-        ('{"train": {"lr": 1' + "0" * 400 + "}}", "train.lr"),
+        ('{"train": {"tau": NaN}}', "train.tau: must be finite"),
+        ('{"train": {"lr": 1' + "0" * 400 + "}}", "train.lr: expected a number"),
     ],
     ids=["nan", "huge_int"],
 )
@@ -421,7 +423,7 @@ def test_non_finite_config_exit_2_before_data_loads(tmp_path, capsys, text, need
          "--out-dir", str(tmp_path / "o")]
     )
     assert code == 2
-    assert f"config error: {needle}: expected a number" in capsys.readouterr().err
+    assert f"config error: {needle}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -583,7 +585,7 @@ def test_gen_data_rejects_infinite_spec(tmp_path, capsys):
     out = tmp_path / "data.umc"
     assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error: dataset.cluster_spread: expected a number" in err
+    assert "config error: dataset.cluster_spread: must be finite" in err
     assert sorted(tmp_path.iterdir()) == [spec]
 
 
@@ -658,6 +660,26 @@ def test_malformed_container_header_exit_2(workspace, capsys, case, command):
                 "--out", str(tmp_path / "p.json")]
     assert main(argv) == 2
     assert "error: corrupt header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe"])
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_format_version_not_an_integer_exit_2(workspace, capsys, version, command):
+    # the dataset file for pretrain, the checkpoint for probe
+    tmp_path, config, data = workspace
+    if command == "pretrain":
+        bad = data
+        argv = ["pretrain", "--config", str(config), "--data", str(data),
+                "--out-dir", str(tmp_path / "o")]
+    else:
+        bad = _fresh_checkpoint(tmp_path, config)
+        argv = ["probe", "--checkpoint", str(bad), "--data", str(data),
+                "--out", str(tmp_path / "o")]
+    _edit_header(bad, lambda h: h.update(format_version=version))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unsupported format version {version!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_dataset_without_arrays_exit_2(workspace, capsys):
@@ -1176,11 +1198,16 @@ def test_console_script_entry_point(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SMALL_CONFIG["dataset"]))
     out = tmp_path / "d.umc"
+    # the child imports the conlab this process imported, wherever pytest
+    # found it
+    src = os.path.dirname(os.path.dirname(conlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "conlab.cli", "gen-data", "--spec", str(spec),
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conlab.config import (
@@ -113,7 +114,8 @@ def test_validation_bounds():
 
 
 def test_non_finite_json_numbers_rejected():
-    # json.load accepts NaN and ±Infinity, and an integer of any length
+    # json.load accepts NaN and ±Infinity, and an integer of any length; a
+    # non-finite number reads as a config built in code does, in field order
     doc = json.loads(
         '{"train": {"tau": NaN, "lr": Infinity, "weight_decay": -Infinity, '
         '"momentum_m": 1' + "0" * 400 + '}, "probe": {"knn_temperature": NaN}}'
@@ -121,11 +123,12 @@ def test_non_finite_json_numbers_rejected():
     with pytest.raises(ConfigError) as exc:
         config_from_dict(doc)
     assert exc.value.problems == [
-        "train.tau: expected a number",
-        "train.lr: expected a number",
-        "train.weight_decay: expected a number",
+        "train.tau: must be finite",
         "train.momentum_m: expected a number",
-        "probe.knn_temperature: expected a number or null",
+        "train.lr: must be finite",
+        "train.weight_decay: must be finite",
+        "train.weight_decay: must be >= 0",
+        "probe.knn_temperature: must be finite",
     ]
 
 
@@ -182,6 +185,45 @@ def test_configs_built_in_code_are_checked(build, needle):
     # with_train, replace and constructors go through the same rules as JSON
     with pytest.raises(ConfigError, match=needle):
         build()
+
+
+def test_a_config_built_in_code_is_converted_as_json_is():
+    # an int given a float field, and NumPy numbers, hold the Python value,
+    # so the digest and run id are those of the JSON config
+    assert config_digest(with_train(RunConfig(), lr=1)) == config_digest(
+        config_from_dict({"train": {"lr": 1}})
+    )
+    assert type(with_train(RunConfig(), lr=1).train.lr) is float
+    seeded = with_train(RunConfig(), seed=np.int64(3))
+    assert type(seeded.train.seed) is int
+    assert run_id(seeded) == run_id(with_train(RunConfig(), seed=3))
+    assert config_digest(with_train(RunConfig(), label_ratio=np.float64(0.5))) == (
+        config_digest(with_train(RunConfig(), label_ratio=0.5))
+    )
+
+
+def test_a_trunk_given_as_a_list_holds_a_tuple():
+    cfg = RunConfig(model=ModelConfig(trunk=[64, 32]))
+    assert cfg.model.trunk == (64, 32)
+    assert cfg == RunConfig()
+    assert hash(cfg) == hash(RunConfig())
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lr", "0.1", "train.lr: expected a number"),
+        ("batch_size", 64.0, "train.batch_size: expected an integer"),
+        ("epochs", True, "train.epochs: expected an integer"),
+        ("loss", 3, "train.loss: expected a string"),
+    ],
+)
+def test_a_wrong_type_built_in_code_gets_the_json_message(field, value, message):
+    with pytest.raises(ConfigError) as in_code:
+        with_train(RunConfig(), **{field: value})
+    with pytest.raises(ConfigError) as from_json:
+        config_from_dict({"train": {field: value}})
+    assert in_code.value.problems == from_json.value.problems == [message]
 
 
 @pytest.mark.parametrize(
@@ -347,10 +389,11 @@ def test_bare_spec_skips_the_rules_that_span_sections():
     assert spec_from_dict(doc) == DatasetSpec(input_dim=2**20, n_train=64, n_test=64)
     with pytest.raises(ConfigError) as info:
         spec_from_dict({"n_train": 2**30, "seed": "x", "typo": 1})
-    # every problem is collected, the section's own budget rule included
+    # every problem is collected, the section's own budget rule included:
+    # unknown keys first, then field order
     assert info.value.problems == [
-        "dataset.seed: expected an integer",
         "dataset.typo: unknown key",
+        "dataset.seed: expected an integer",
         f"dataset.n_train: n_train * input_dim exceeds the budget of {2**26} elements",
     ]
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conlab.config import ConfigError, with_train
+from conlab.config import ConfigError, ModelConfig, with_train
 from conlab.experiments import (
     compare_grid,
     compare_to_csv,
@@ -70,6 +70,18 @@ def test_grid_deterministic(small_cfg, small_dataset):
     cfg = with_train(small_cfg, epochs=1)
     a = compare_grid(small_dataset, cfg, ("unicon",), (0.5,), (0,))
     b = compare_grid(small_dataset, cfg, ("unicon",), (0.5,), (0,))
+    assert a.cells == b.cells
+
+
+def test_grid_runs_a_config_built_with_a_list_trunk(small_cfg, small_dataset):
+    listed = dataclasses.replace(
+        small_cfg, model=ModelConfig(trunk=[16, 12], embed_dim=8)
+    )
+    assert listed == small_cfg
+    a, b = (
+        compare_grid(small_dataset, with_train(c, epochs=1), ("unicon",), (1.0,), (0,))
+        for c in (listed, small_cfg)
+    )
     assert a.cells == b.cells
 
 

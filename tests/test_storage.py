@@ -116,6 +116,17 @@ def test_container_rejects_future_version(tmp_path):
         read_container(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_container_rejects_a_format_version_that_is_not_an_integer(tmp_path, version):
+    # both equal 1 in Python; the header must hold the JSON integer itself
+    path = tmp_path / "c.umc"
+    hjson = json.dumps({"format_version": version, "arrays": []}).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(hjson)) + hjson)
+    with pytest.raises(StorageError) as exc:
+        read_container(path)
+    assert str(exc.value) == f"unsupported format version {version!r}"
+
+
 def test_container_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(StorageError, match="unsupported dtype"):
         write_container(
