@@ -107,14 +107,15 @@ _TYPES = {
 
 @functools.cache
 def _field_types(cls) -> dict:
-    """Maps each field's name to the field and its type (`T | None` read as
-    T), in field order. Computed once per class: `get_type_hints` costs
-    more than a construction."""
+    """Maps each field's name to the field, its type (`T | None` read as T)
+    and whether that type is a section, in field order. Computed once per
+    class: `get_type_hints` costs more than a construction."""
     hints = get_type_hints(cls)
-    return {
-        f.name: (f, get_args(hints[f.name])[0] if f.default is None else hints[f.name])
-        for f in fields(cls)
-    }
+    types = {}
+    for f in fields(cls):
+        hint = get_args(hints[f.name])[0] if f.default is None else hints[f.name]
+        types[f.name] = (f, hint, is_dataclass(hint))
+    return types
 
 
 class _Checked:
@@ -122,21 +123,31 @@ class _Checked:
     built, so one from JSON, `with_train`, `dataclasses.replace` or a
     constructor call is valid, and no caller re-checks it. Each field, in
     field order, is checked and converted to its type (an int field holds
-    an int, a float field a float, `trunk` a tuple of ints), then checked
+    an int, a float field a float, `trunk` a tuple of ints, a section field
+    its section, built by `_from_object` from a JSON object), then checked
     to be finite, then against the rule declared on it (`_bounded`,
     `_checked`). A field of the wrong type takes its default, so a later
     field's rule that reads it still runs. `validate()` holds the rest: the
-    element budgets, and the rules that span sections. `_where` names the
+    element budgets, and the rules that span sections; it runs only when
+    every section field holds the section it was given. `_where` names the
     section in messages."""
 
     _where: ClassVar[str]
 
     def __post_init__(self):
         problems = []
-        for f, hint in _field_types(type(self)).values():
+        sections_built = True
+        for f, hint, is_section in _field_types(type(self)).values():
             value = getattr(self, f.name)
             if value is None and f.default is None:  # an optional field
                 continue
+            if is_section and not isinstance(value, hint):
+                try:
+                    value = _from_object(hint, value)
+                except ConfigError as exc:
+                    problems += exc.problems
+                    sections_built, value = False, hint()
+                object.__setattr__(self, f.name, value)
             if hint in _TYPES:
                 convert, expected = _TYPES[hint]
                 if (value := convert(value)) is None:
@@ -150,7 +161,8 @@ class _Checked:
                 problems.append(f"{self._where}.{f.name}: must be finite")
             if (check := f.metadata.get("check")) and (says := check(self, value)):
                 problems.append(f"{self._where}.{f.name}: {says}")
-        problems += self.validate()
+        if sections_built:
+            problems += self.validate()
         if problems:
             raise ConfigError(problems)
 
@@ -253,6 +265,8 @@ class ProbeConfig(_Checked):
 
 @dataclass(frozen=True)
 class RunConfig(_Checked):
+    _where = "config"
+
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -301,50 +315,36 @@ class RunConfig(_Checked):
         )
 
 
-def _section_from_dict(cls, data, where: str, problems: list[str]):
+def _from_object(cls, data, unknown="{where}.{key}: unknown key"):
+    """Build a section, or a whole config, from a JSON object; raises
+    ConfigError with every problem: unknown keys first, then the section's
+    own, field by field. A nested section is built by its field's check."""
     if not isinstance(data, dict):
-        problems.append(f"{where}: expected an object")
-        return cls()
+        raise ConfigError([f"{cls._where}: expected an object"])
     types = _field_types(cls)
-    problems += [f"{where}.{key}: unknown key" for key in data if key not in types]
-    kwargs = {key: value for key, value in data.items() if key in types}
-    for key, (_, hint) in types.items():
-        if key in kwargs and is_dataclass(hint):  # nested section
-            kwargs[key] = _section_from_dict(
-                hint, kwargs[key], f"{where}.{key}", problems
-            )
+    problems = [unknown.format(where=cls._where, key=k) for k in data if k not in types]
     try:
-        return cls(**kwargs)
+        built = cls(**{key: value for key, value in data.items() if key in types})
     except ConfigError as exc:
-        problems.extend(exc.problems)
-        return cls()
+        problems += exc.problems
+    if problems:
+        raise ConfigError(problems)
+    return built
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Parse and validate a config document; raises ConfigError with every
-    problem found, not just the first."""
+    problem found, not just the first: unknown sections, then each section's
+    in declaration order, then the rules that span sections."""
     if not isinstance(data, dict):
         raise ConfigError(["config: expected a JSON object"])
-    types = _field_types(RunConfig)
-    problems = [f"{key}: unknown section" for key in data if key not in types]
-    sections = {
-        key: _section_from_dict(types[key][1], value, key, problems)
-        for key, value in data.items()
-        if key in types
-    }
-    if problems:
-        raise ConfigError(problems)
-    return RunConfig(**sections)
+    return _from_object(RunConfig, data, "{key}: unknown section")
 
 
 def spec_from_dict(data) -> DatasetSpec:
     """Parse and validate a dataset section on its own. The rules that span
     sections are left out: a bare spec comes without the model it will feed."""
-    problems: list[str] = []
-    spec = _section_from_dict(DatasetSpec, data, "dataset", problems)
-    if problems:
-        raise ConfigError(problems)
-    return spec
+    return _from_object(DatasetSpec, data)
 
 
 def load_config(path) -> RunConfig:

@@ -66,10 +66,12 @@ def compare_grid(
     trains and probes them once; ``progress`` still sees every cell, in
     grid order.
 
-    A loss or seed given twice is an error (it would run its cells again and
-    count its results twice); repeated alphas collapse into one column."""
+    A seed and an alpha are converted by the config's own rules, and a bad
+    one raises its ``ConfigError``. A loss or seed given twice is an error
+    (it would run its cells again and count its results twice); repeated
+    alphas collapse into one column."""
     losses = tuple(losses)
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(with_train(cfg, seed=s).train.seed for s in seeds)
     if not losses:
         raise ValueError("need at least one loss")
     if not seeds:
@@ -79,7 +81,8 @@ def compare_grid(
         if repeated:
             raise ValueError(f"repeated {noun}: {', '.join(repeated)}")
     # + 0.0 turns -0.0 into 0.0, which would otherwise name the forced column
-    alphas = tuple(sorted({float(a) + 0.0 for a in alphas} | {0.0}))
+    alphas = {with_train(cfg, label_ratio=a).train.label_ratio + 0.0 for a in alphas}
+    alphas = tuple(sorted(alphas | {0.0}))
     check_dataset_matches(cfg, dataset)
     # every cell's config is built (and so checked) before the first cell runs
     run_cfgs = {

@@ -407,6 +407,18 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert "train.lr" in err
 
 
+def test_config_that_is_not_an_object_exit_2(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[]")
+    code = main(
+        ["pretrain", "--config", str(config), "--data", str(tmp_path / "none.umc"),
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config: expected a JSON object\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "text, needle",
     [

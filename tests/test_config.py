@@ -227,6 +227,82 @@ def test_a_wrong_type_built_in_code_gets_the_json_message(field, value, message)
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TrainConfig(aug=None), "train.aug: expected an object"),
+        (lambda: RunConfig(dataset=None), "dataset: expected an object"),
+        (lambda: RunConfig(train=[1]), "train: expected an object"),
+        (lambda: RunConfig(model=ProbeConfig()), "model: expected an object"),
+    ],
+    ids=["aug_none", "dataset_none", "train_list", "other_section"],
+)
+def test_a_section_field_that_is_no_section_or_object_is_refused(build, message):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert info.value.problems == [message]
+
+
+def test_a_section_field_builds_its_section_from_a_json_object():
+    cfg = RunConfig(train={"lr": 1})
+    assert cfg == config_from_dict({"train": {"lr": 1}})
+    assert config_digest(cfg) == config_digest(config_from_dict({"train": {"lr": 1}}))
+    assert dataclasses.replace(RunConfig(), model={"trunk": [8]}) == RunConfig(
+        model=ModelConfig(trunk=(8,))
+    )
+    assert TrainConfig(aug={"noise_std": 0.3}).aug == AugConfig(noise_std=0.3)
+
+
+def test_a_section_object_built_in_code_gets_the_json_problems():
+    train = {"taus": 1, "aug": {"noise_std": -1}}
+    with pytest.raises(ConfigError) as in_code:
+        RunConfig(train=train)
+    with pytest.raises(ConfigError) as from_json:
+        config_from_dict({"train": train})
+    assert in_code.value.problems == from_json.value.problems == [
+        "train.taus: unknown key",
+        "train.aug.noise_std: must be >= 0",
+    ]
+
+
+def test_rules_that_span_sections_wait_for_every_section():
+    # the train section falls back to its defaults, whose batch of 64 would
+    # not fit in 10 rows; only the section's own problem is reported
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"dataset": {"n_train": 10}, "train": {"lr": -1}})
+    assert info.value.problems == ["train.lr: must be > 0"]
+
+
+def test_a_document_that_is_not_an_object_is_refused():
+    with pytest.raises(ConfigError) as info:
+        config_from_dict([])
+    assert info.value.problems == ["config: expected a JSON object"]
+
+
+def test_problems_are_listed_in_declaration_order():
+    # unknown sections first, then each section in declaration order
+    # whatever the document's order; within one, unknown keys and then field
+    # by field, with train.aug's problems at aug's place
+    doc = {
+        "probe": {"knn_k": 0},
+        "train": {"aug": {"dropout_p": 1, "typo": 0}, "lr": "x", "seed": -1, "x": 1},
+        "extra": {},
+        "dataset": {"n_classes": 1},
+    }
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    assert info.value.problems == [
+        "extra: unknown section",
+        "dataset.n_classes: must be >= 2",
+        "train.x: unknown key",
+        "train.lr: expected a number",
+        "train.aug.typo: unknown key",
+        "train.aug.dropout_p: must lie in [0, 1)",
+        "train.seed: must be >= 0",
+        "probe.knn_k: must be >= 1",
+    ]
+
+
+@pytest.mark.parametrize(
     "build, where",
     [
         (lambda v: TrainConfig(momentum_m=v), "train.momentum_m"),

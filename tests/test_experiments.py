@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conlab.config import ConfigError, ModelConfig, with_train
@@ -102,6 +103,32 @@ def test_grid_checks_every_cell_before_training(
     with pytest.raises(ConfigError, match="train.seed"):
         compare_grid(small_dataset, cfg, ("unicon",), (1.0,), (0, -1))
     assert pretrain_calls == []
+
+
+@pytest.mark.parametrize(
+    "alphas, seeds, message",
+    [
+        ((1.0,), (1.5,), "train.seed: expected an integer"),
+        ((1.0,), (True,), "train.seed: expected an integer"),
+        ((True,), (0,), "train.label_ratio: expected a number"),
+    ],
+    ids=["float_seed", "bool_seed", "bool_alpha"],
+)
+def test_grid_converts_seeds_and_alphas_by_the_config_rules(
+    small_cfg, small_dataset, pretrain_calls, alphas, seeds, message
+):
+    cfg = with_train(small_cfg, epochs=1)
+    with pytest.raises(ConfigError) as info:
+        compare_grid(small_dataset, cfg, ("unicon",), alphas, seeds)
+    assert info.value.problems == [message]
+    assert pretrain_calls == []
+
+
+def test_grid_reports_a_numpy_seed_as_an_int(small_cfg, small_dataset):
+    cfg = with_train(small_cfg, epochs=1)
+    result = compare_grid(small_dataset, cfg, ("infonce",), (), (np.int64(2),))
+    assert result.seeds == (2,)
+    assert type(result.seeds[0]) is int
 
 
 def test_grid_refuses_a_dataset_its_config_does_not_name(
