@@ -19,6 +19,7 @@ from pathlib import Path
 from .config import (
     ConfigError,
     RunConfig,
+    _read_object,
     config_digest,
     config_from_dict,
     load_config,
@@ -48,13 +49,7 @@ from .storage import (
 
 
 def _load_dataset_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"spec: invalid JSON ({exc})"]) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(["spec: expected a JSON object"])
+    doc = _read_object(path, "spec")
     if set(doc) <= {f.name for f in fields(RunConfig)}:
         return config_from_dict(doc).dataset
     return spec_from_dict(doc)
@@ -83,11 +78,6 @@ def _cmd_pretrain(args) -> int:
     dataset = load_dataset(args.data)
     check_dataset_matches(cfg, dataset)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "checkpoint.umc"
-    metrics_path = out_dir / "metrics.csv"
-
     state = None
     if args.resume is not None:
         state, ckpt_cfg = load_checkpoint(args.resume)
@@ -96,6 +86,10 @@ def _cmd_pretrain(args) -> int:
                 ["resume: checkpoint was produced by a different config"]
             )
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out_dir / "checkpoint.umc"
+    metrics_path = out_dir / "metrics.csv"
     start_step = 0 if state is None else state.step
     with MetricsWriter(metrics_path, start_step=start_step) as writer:
         state = pretrain(
@@ -185,7 +179,7 @@ def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
     alphas = _parse_list(args.alphas, "--alphas", float)
-    losses = [tok for tok in args.losses.split(",") if tok.strip() != ""]
+    losses = _parse_list(args.losses, "--losses", str.strip)
     seeds = _parse_list(args.seeds, "--seeds", int)
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)

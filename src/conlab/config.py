@@ -347,13 +347,21 @@ def spec_from_dict(data) -> DatasetSpec:
     return _from_object(DatasetSpec, data)
 
 
-def load_config(path) -> RunConfig:
+def _read_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ConfigError, its message
+    led by ``what``, for a file that holds no JSON or another value."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError([f"config: invalid JSON ({exc})"]) from exc
-    return config_from_dict(data)
+            raise ConfigError([f"{what}: invalid JSON ({exc})"]) from exc
+    if not isinstance(data, dict):
+        raise ConfigError([f"{what}: expected a JSON object"])
+    return data
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(_read_object(path, "config"))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

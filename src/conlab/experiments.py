@@ -4,10 +4,10 @@ A grid cell is one full pretrain + linear/kNN probe at a given (loss kind,
 label ratio α, seed); a cell's headline number is the seed-mean linear-probe
 top-1. Every grid silently includes α = 0, the unlabelled baseline. There
 every loss trains bit for bit as infonce (``TrainConfig.single_positive``),
-so that column, and any infonce cell, is trained once per seed and its
-result shared. That the multi-positive losses collapse to the single-positive
-one is checked on the kernel itself: acceptance criteria 2 and 8 and
-``conlab losscheck``.
+so that column, and any infonce cell, is trained once per seed, as infonce
+at α=0, and its result shared. That the multi-positive losses collapse to
+the single-positive one is checked on the kernel itself: acceptance
+criteria 2 and 8 and ``conlab losscheck``.
 """
 
 from __future__ import annotations
@@ -61,10 +61,11 @@ def compare_grid(
     progress=None,
 ) -> CompareResult:
     """Run the full cross-product. Each cell's result is ``pretrain`` and
-    ``run_probes`` under its own config, never depending on execution order.
-    Cells whose runs are single-positive train identically, so each seed
-    trains and probes them once; ``progress`` still sees every cell, in
-    grid order.
+    ``run_probes`` under its work key, the config that names its run: its
+    own, or infonce at label ratio 0 for a single-positive cell, which
+    trains bit for bit alike. So each seed trains and probes the
+    single-positive cells once, as infonce at α=0, whatever the order of
+    ``losses``; ``progress`` still sees every cell, in grid order.
 
     A seed and an alpha are converted by the config's own rules, and a bad
     one raises its ``ConfigError``. A loss or seed given twice is an error
@@ -98,11 +99,10 @@ def compare_grid(
         for alpha in alphas:
             lin, knn = [], []
             for seed in seeds:
-                run_cfg = run_cfgs[(kind, alpha, seed)]
-                key = _work_key(run_cfg)
+                key = _work_key(run_cfgs[(kind, alpha, seed)])
                 if key not in done:
-                    state = pretrain(dataset, run_cfg)
-                    done[key] = run_probes(state.params_q, dataset, run_cfg)
+                    params = pretrain(dataset, key).params_q
+                    done[key] = run_probes(params, dataset, key)
                 res = done[key]
                 lin.append(res.linear_top1)
                 knn.append(res.knn_top1)

@@ -149,14 +149,22 @@ def _as_inputs(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def trunk_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Trunk output (post-ReLU, not normalized); the representation probes use."""
-    a = _as_inputs(params, x)
-    for w, b in params.trunk:
-        a = a @ w
+def _layer_inputs(params: EncoderParams, x: np.ndarray, layers) -> list[np.ndarray]:
+    """``x``, then the output of each of ``layers`` with its ReLU, each the
+    next layer's input. Training runs every layer but the last, the probes
+    the trunk, so both compute the trunk bit for bit alike."""
+    inputs = [_as_inputs(params, x)]
+    for w, b in layers:
+        a = inputs[-1] @ w
         a += b
         np.maximum(a, 0.0, out=a)
-    return a
+        inputs.append(a)
+    return inputs
+
+
+def trunk_features(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Trunk output (post-ReLU, not normalized); the representation probes use."""
+    return _layer_inputs(params, x, params.trunk)[-1]
 
 
 def forward(params: EncoderParams, x: np.ndarray):
@@ -166,9 +174,7 @@ def forward(params: EncoderParams, x: np.ndarray):
     ``DegenerateVectorError`` unless every raw embedding's norm is finite and
     above ``DEGENERATE_NORM``: such a row has no unit-norm direction.
     """
-    inputs = [_as_inputs(params, x)]
-    for w, b in params.layers[:-1]:
-        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+    inputs = _layer_inputs(params, x, params.layers[:-1])
     w, b = params.layers[-1]
     raw = inputs[-1] @ w + b
     norms = np.linalg.norm(raw, axis=1)

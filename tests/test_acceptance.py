@@ -74,16 +74,16 @@ def grid_runs():
 
 
 def _compare_sharing_runs(runs, *args, **kwargs):
-    """``compare_grid`` with each run that ``runs`` holds given back, not
-    trained again: both grids hold the α=0 column, which is single-positive
-    and so trains as infonce at α=0 whatever the loss."""
+    """``compare_grid`` with each run that ``runs`` holds, keyed by the
+    config ``pretrain`` receives, given back, not trained again: both grids
+    hold the α=0 column, which is single-positive and so trains as infonce
+    at α=0 whatever the loss."""
     real_pretrain = conlab.experiments.pretrain
 
     def pretrain_once(dataset, run_cfg):
-        key = conlab.experiments._work_key(run_cfg)
-        if key not in runs:
-            runs[key] = real_pretrain(dataset, run_cfg)
-        return runs[key]
+        if run_cfg not in runs:
+            runs[run_cfg] = real_pretrain(dataset, run_cfg)
+        return runs[run_cfg]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conlab.experiments, "pretrain", pretrain_once)

@@ -172,6 +172,15 @@ def test_pretrain_resume_config_mismatch_rejected(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert "different config" in capsys.readouterr().err
+    # the checkpoint is checked before a new --out-dir is made
+    fresh = tmp_path / "fresh"
+    code = main(
+        ["pretrain", "--config", str(other), "--data", str(data),
+         "--out-dir", str(fresh), "--resume", str(out / "checkpoint.umc")]
+    )
+    assert code == 2
+    assert "different config" in capsys.readouterr().err
+    assert not fresh.exists()
 
 
 def test_pretrain_dataset_mismatch_rejected(workspace, tmp_path, capsys):
@@ -312,6 +321,23 @@ def test_compare_command(workspace, capsys):
     assert (out / "compare.txt").exists()
 
 
+def test_compare_accepts_spaces_after_commas(workspace, capsys):
+    tmp_path, config, data = workspace
+    out = tmp_path / "cmp"
+    code = main(
+        ["compare", "--config", str(config), "--data", str(data),
+         "--losses", "unicon, supcon_in", "--alphas", "1, 0.5", "--seeds", "0, 1",
+         "--out-dir", str(out)]
+    )
+    assert code == 0
+    doc = json.loads((out / "compare.json").read_text())
+    assert (doc["losses"], doc["alphas"], doc["seeds"]) == (
+        ["unicon", "supcon_in"], [0.0, 0.5, 1.0], [0, 1]
+    )
+    rows = capsys.readouterr().out.splitlines()[2:4]
+    assert [row.split()[0] for row in rows] == ["unicon", "supcon_in"]
+
+
 def test_compare_rejects_unknown_loss(workspace, capsys):
     tmp_path, config, data = workspace
     code = main(
@@ -327,6 +353,7 @@ def test_compare_rejects_unknown_loss(workspace, capsys):
     "losses, seeds, message",
     [
         ("unicon,unicon", "3,3", "repeated loss: unicon"),
+        ("unicon, unicon", "3", "repeated loss: unicon"),
         ("unicon", "1,1,2", "repeated seed: 1"),
     ],
 )
@@ -385,12 +412,20 @@ def test_compare_refuses_an_out_dir_at_a_file_before_any_cell(
     assert taken.read_text() == "not a directory\n"
 
 
-def test_missing_files_exit_2(tmp_path, capsys):
+def test_missing_files_exit_2(workspace, capsys):
+    tmp_path, config, data = workspace
     code = main(
         ["pretrain", "--config", str(tmp_path / "none.json"),
          "--data", str(tmp_path / "none.umc"), "--out-dir", str(tmp_path / "o")]
     )
     assert code == 2
+    code = main(
+        ["pretrain", "--config", str(config), "--data", str(data),
+         "--out-dir", str(tmp_path / "o"), "--resume", str(tmp_path / "none.umc")]
+    )
+    assert code == 2
+    assert "none.umc" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_config_exit_2(tmp_path, capsys):
@@ -598,6 +633,19 @@ def test_gen_data_rejects_infinite_spec(tmp_path, capsys):
     assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: dataset.cluster_spread: must be finite" in err
+    assert sorted(tmp_path.iterdir()) == [spec]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{not json", "spec: invalid JSON ("), ("[]", "spec: expected a JSON object")],
+    ids=["not_json", "list"],
+)
+def test_gen_data_spec_that_is_no_json_object_exit_2(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert sorted(tmp_path.iterdir()) == [spec]
 
 
@@ -879,6 +927,7 @@ def test_checkpoint_with_non_finite_values_exit_2(workspace, capsys, case, comma
     err = capsys.readouterr().err
     assert f"checkpoint array {name!r} holds non-finite values" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 BAD_QUEUE_VALUES = {
@@ -912,6 +961,7 @@ def test_checkpoint_breaking_queue_rules_exit_2(workspace, capsys, case):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", [1e300, 1e160])

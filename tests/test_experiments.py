@@ -49,9 +49,10 @@ def test_grid_trains_single_positive_cells_once_per_seed(
         small_dataset, cfg, losses, (1.0,), seeds,
         progress=lambda kind, alpha, seed, res: seen.append((kind, alpha, seed, res)),
     )
-    # α=0 of every loss and infonce at α=1 share one run per seed
+    # α=0 of every loss and infonce at α=1 share one run per seed, trained
+    # as infonce at α=0
     assert pretrain_calls == [
-        ("unicon", 0.0, 0), ("unicon", 0.0, 1),
+        ("infonce", 0.0, 0), ("infonce", 0.0, 1),
         ("unicon", 1.0, 0), ("unicon", 1.0, 1),
         ("supcon_out", 1.0, 0), ("supcon_out", 1.0, 1),
     ]
@@ -65,6 +66,17 @@ def test_grid_trains_single_positive_cells_once_per_seed(
         i = seeds.index(seed)
         cell = result.cells[(kind, alpha)]
         assert (cell.linear[i], cell.knn[i]) == (oracle.linear_top1, oracle.knn_top1)
+
+
+@pytest.mark.parametrize(
+    "losses", [("supcon_out", "unicon"), ("unicon", "supcon_out")]
+)
+def test_grid_trains_the_shared_run_as_infonce_in_any_loss_order(
+    small_cfg, small_dataset, pretrain_calls, losses
+):
+    cfg = with_train(small_cfg, epochs=1)
+    compare_grid(small_dataset, cfg, losses, (), (0, 1))
+    assert pretrain_calls == [("infonce", 0.0, 0), ("infonce", 0.0, 1)]
 
 
 def test_grid_deterministic(small_cfg, small_dataset):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import params_equal
 
+from conlab.config import RunConfig
 from conlab.model import (
     EncoderParams,
     backward,
@@ -136,6 +137,19 @@ def test_forward_shape_mismatch():
     p = small_params()
     with pytest.raises(ValueError, match="shape mismatch"):
         forward(p, np.zeros((3, 8)))
+
+
+@pytest.mark.parametrize("encoder", ["default", "small_cfg"])
+def test_trunk_features_are_forwards_trunk_bit_for_bit(encoder, small_cfg):
+    # the probes read the trunk that training computes, not a recomputation
+    cfg = RunConfig() if encoder == "default" else small_cfg
+    params = init_params(cfg.layer_dims, Rng(0).stream("init"))
+    x = Rng(1).stream("x").normal(size=(5000, cfg.dataset.input_dim))
+    _, tape = forward(params, x)
+    features = trunk_features(params, x)
+    trunk = tape.inputs[len(params.trunk)]
+    assert features.shape == trunk.shape
+    assert features.tobytes() == trunk.tobytes()
 
 
 def test_trunk_features_relu_output():

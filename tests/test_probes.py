@@ -54,8 +54,8 @@ def test_extract_features_is_trunk_output():
 
 
 def test_extract_features_equals_the_unsplit_product():
-    # the trunk's products go in row blocks; on the default encoder and a
-    # default-size split they must round as the whole product does
+    # on the default encoder and a default-size split, the probes' features
+    # are each trunk layer's whole product with its bias and ReLU
     cfg = RunConfig()
     params = init_params(cfg.layer_dims, Rng(0).stream("init"))
     x = Rng(1).stream("x").normal(size=(5000, 20))
