@@ -119,17 +119,8 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_probe(args) -> int:
     state, cfg = load_checkpoint(args.checkpoint)
-    result = run_probes(state.params_q, load_dataset(args.data), cfg)
-    entry = {
-        "run_id": run_id(cfg),
-        "loss": cfg.train.loss,
-        "label_ratio": cfg.train.label_ratio,
-        "seed": cfg.train.seed,
-        "step": state.step,
-        "linear_top1": result.linear_top1,
-        "knn_top1": result.knn_top1,
-        "knn_k": cfg.probe.knn_k,
-    }
+    dataset = load_dataset(args.data)
+    # the report is checked before the probe, so a broken one costs no work
     out = Path(args.out)
     report = []
     if out.exists():
@@ -140,6 +131,17 @@ def _cmd_probe(args) -> int:
                 raise StorageError(f"existing report is not valid JSON: {exc}")
         if not isinstance(report, list):
             raise StorageError("existing report is not a JSON array")
+    result = run_probes(state.params_q, dataset, cfg)
+    entry = {
+        "run_id": run_id(cfg),
+        "loss": cfg.train.loss,
+        "label_ratio": cfg.train.label_ratio,
+        "seed": cfg.train.seed,
+        "step": state.step,
+        "linear_top1": result.linear_top1,
+        "knn_top1": result.knn_top1,
+        "knn_k": cfg.probe.knn_k,
+    }
     report.append(entry)
     atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(

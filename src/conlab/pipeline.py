@@ -211,16 +211,13 @@ def train_step(
     np.matmul(q, state.queue.features.T, out=logits[:, 1:])
     logits /= train_cfg.tau
 
-    if train_cfg.single_positive:
-        # Only the paired key counts: infonce treats queue label matches as
-        # negatives, and at label ratio 0 there are none. Every loss takes
-        # the infonce value on one positive, so this runs infonce's kernel.
-        kind = "infonce"
-        targets = np.zeros(logits.shape, dtype=bool)
-        targets[:, 0] = True
-    else:
-        kind = train_cfg.loss
-        targets = build_target(labels, state.queue)
+    # A single-positive run reads no label, so only the paired key counts:
+    # infonce treats queue label matches as negatives, and at label ratio 0
+    # there are none. Every loss takes the infonce value on one positive, so
+    # such a run is scored by infonce's kernel.
+    single = train_cfg.single_positive
+    kind = "infonce" if single else train_cfg.loss
+    targets = build_target(np.full(n, UNLABELED) if single else labels, state.queue)
 
     values, grad_logits = loss_batch(kind, logits, targets)
     loss = float(np.mean(values))

@@ -76,8 +76,9 @@ def build_target(query_labels: np.ndarray, queue: PairQueue) -> np.ndarray:
     """Multi-hot positives mask of shape (N, 1+K) for a batch of queries.
 
     Column 0 (the augmented key) is always positive. Column 1+j is positive
-    iff the query label equals the queue label at j and the query is labeled;
-    unlabeled queue entries never match.
+    iff the query label equals the queue label at j and the query is labeled:
+    only labeled queries are compared with the queue, so an unlabeled query
+    keeps its augmented key alone, and unlabeled queue entries never match.
     """
     query_labels = np.asarray(query_labels, dtype=np.int64)
     if query_labels.ndim != 1:
@@ -85,7 +86,6 @@ def build_target(query_labels: np.ndarray, queue: PairQueue) -> np.ndarray:
     n = query_labels.shape[0]
     mask = np.zeros((n, 1 + queue.capacity), dtype=bool)
     mask[:, 0] = True
-    matches = query_labels[:, None] == queue.labels[None, :]
-    matches &= query_labels[:, None] != UNLABELED
-    mask[:, 1:] = matches
+    labeled = query_labels != UNLABELED
+    mask[labeled, 1:] = query_labels[labeled, None] == queue.labels
     return mask

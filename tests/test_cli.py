@@ -219,6 +219,34 @@ def test_probe_dataset_mismatch_rejected(workspace, capsys):
     assert report.read_bytes() == b'[{"run_id": "earlier"}]\n'
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"not json", "error: existing report is not valid JSON: "
+                      "Expecting value: line 1 column 1 (char 0)\n"),
+        (b"{}", "error: existing report is not a JSON array\n"),
+    ],
+    ids=["not_json", "object"],
+)
+def test_probe_checks_its_report_before_it_probes(
+    workspace, capsys, monkeypatch, content, message
+):
+    tmp_path, config, data = workspace
+    ckpt = _fresh_checkpoint(tmp_path, config)
+    report = tmp_path / "probes.json"
+    report.write_bytes(content)
+    probed = []
+    monkeypatch.setattr(cli, "run_probes", lambda *args: probed.append(args))
+    code = main(
+        ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(report)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == message
+    assert probed == []
+    assert report.read_bytes() == content
+
+
 def test_compare_dataset_mismatch_rejected(workspace, capsys, pretrain_calls):
     tmp_path, _, data = workspace
     config, out = tmp_path / "other.json", tmp_path / "cmp"

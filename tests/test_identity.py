@@ -34,6 +34,8 @@ def test_recipe_reruns_identically_and_reports_a_one_byte_change(
         "data.umc",
         "unicon_a1/checkpoint.umc",
         "infonce_a0/metrics.csv",
+        "supcon_in_a05/checkpoint.umc",
+        "infonce_a1/checkpoint.umc",
         "resumed/checkpoint.umc",
         "resumed/probe.json",
         "grid/compare.json",

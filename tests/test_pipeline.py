@@ -19,8 +19,8 @@ from conlab.config import (
     TrainConfig,
     with_train,
 )
-from conlab.losses import LOSS_KINDS
-from conlab.model import forward, leaves
+from conlab.losses import LOSS_KINDS, loss_batch
+from conlab.model import forward, leaves, map_leaves
 from conlab.numerics import Rng
 from conlab.pipeline import (
     DivergenceError,
@@ -330,6 +330,67 @@ def test_train_step_loss_sees_queue_width(small_cfg, small_dataset, on_loss):
     ]
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("loss", LOSS_KINDS)
+def test_train_step_descends_its_own_mean_loss(loss, alpha, monkeypatch):
+    # The whole step against its definition. With the step's two views, its
+    # keys and the pre-push queue held fixed, the targets are column 0 plus,
+    # unless the loss is infonce, each queue slot holding the query's visible
+    # label; the query gradient the step applied, read off the new velocity,
+    # must be the central difference of that mean loss in every parameter.
+    cfg = RunConfig(
+        dataset=DatasetSpec(n_classes=3, input_dim=6, n_train=48, n_test=12),
+        model=ModelConfig(trunk=(8, 5), embed_dim=4),
+        train=TrainConfig(
+            batch_size=8, queue_size=16, weight_decay=5e-4, sgd_momentum=0.9,
+            loss=loss, label_ratio=alpha,
+        ),
+        probe=ProbeConfig(knn_k=5),
+    )
+    dataset = generate_dataset(cfg.dataset)
+    state = pretrain(dataset, cfg, max_steps=4)  # the queue now holds keys
+    x = dataset.train_x[:8]
+    labels = mask_labels(dataset.train_y, alpha, Rng(cfg.dataset.seed))[:8]
+    views, real_augment = [], conlab.pipeline.augment
+
+    def capture(x, aug, rng):
+        view = real_augment(x, aug, rng)
+        views.append(view.copy())
+        return view
+
+    monkeypatch.setattr(conlab.pipeline, "augment", capture)
+    new, metrics = train_step(state, x, labels, cfg)
+    x_q, x_k = views
+    train, queue, theta = cfg.train, state.queue, state.params_q.flat
+    k, _ = forward(state.params_k, x_k)
+    targets = np.zeros((8, 1 + train.queue_size), dtype=bool)
+    targets[:, 0] = True
+    if loss != "infonce":
+        visible = labels != UNLABELED
+        targets[:, 1:] = visible[:, None] & (labels[:, None] == queue.labels)
+
+    def mean_loss(flat):
+        q, _ = forward(map_leaves(lambda _: flat, state.params_q), x_q)
+        logits = np.hstack([np.sum(q * k, axis=1, keepdims=True), q @ queue.features.T])
+        values, _ = loss_batch(loss, logits / train.tau, targets)
+        return float(np.mean(values))
+
+    h = 1e-6
+    fd = np.empty(theta.size)
+    for i in range(theta.size):
+        step = np.zeros(theta.size)
+        step[i] = h
+        fd[i] = (mean_loss(theta + step) - mean_loss(theta - step)) / (2 * h)
+    grad = (
+        new.velocity.flat
+        - train.sgd_momentum * state.velocity.flat
+        - train.weight_decay * theta
+    )
+    assert theta.size == 155
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(fd))
+    assert metrics.loss == pytest.approx(mean_loss(theta.copy()), rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -402,8 +463,6 @@ def test_train_step_past_epoch_0_takes_the_step_pretrain_takes(small_cfg, small_
 
 def test_pretrain_alpha_zero_unicon_equals_infonce(small_cfg, small_dataset, on_loss):
     cfg = with_train(small_cfg, label_ratio=0.0, epochs=2)
-    from conlab.losses import loss_batch
-
     diffs = []
 
     def check(logits, targets):
@@ -467,7 +526,7 @@ def test_pretrain_runs_the_kernel_its_positives_need(
     monkeypatch.setattr(conlab.pipeline, "build_target", build_spy)
     pretrain(small_dataset, cfg)
     assert kinds == {kernel}
-    assert len(built) == (cfg.total_steps if alpha else 0)
+    assert len(built) == cfg.total_steps
     assert (most_positives[0] > 1) == (alpha > 0)
 
 

@@ -94,9 +94,11 @@ def test_build_target_example():
 
 
 def test_build_target_unlabeled_query_gets_only_aug_key():
+    # a batch with no labeled query compares no row with the queue
     q = make_queue([3, UNLABELED, 5, 3])
-    mask = build_target(np.array([UNLABELED]), q)
-    assert mask.tolist() == [[True, False, False, False, False]]
+    for n in (1, 6):
+        mask = build_target(np.full(n, UNLABELED), q)
+        assert mask.tolist() == [[True, False, False, False, False]] * n
 
 
 def test_build_target_no_class_match():

@@ -7,8 +7,11 @@ bits depend on (Python, numpy, its BLAS, the CPU):
 
 - ``gen-data`` of the base config's dataset;
 - ``pretrain`` of unicon at label ratio 1 and of infonce at label ratio 0;
+- ``pretrain`` of supcon_in at label ratio 0.5, whose batches mix labelled
+  and unlabelled queries, and of infonce at label ratio 1, a single-positive
+  run whose labels are visible;
 - unicon at label ratio 1 again, stopped at ``--max-steps 1000`` and resumed;
-- ``probe`` of each of those three runs;
+- ``probe`` of the first two runs and of the resumed one;
 - ``compare --losses unicon,supcon_out --alphas 1 --seeds 0,1 --verbose`` at
   ``train.epochs`` 2;
 - ``losscheck --trials 200``.
@@ -66,11 +69,15 @@ def recipe(config: dict, max_steps: int = 1000, trials: int = 200):
         "base.json": config,
         "unicon_a1.json": _merged(config, {"loss": "unicon", "label_ratio": 1.0}),
         "infonce_a0.json": _merged(config, {"loss": "infonce", "label_ratio": 0.0}),
+        "supcon_in_a05.json": _merged(
+            config, {"loss": "supcon_in", "label_ratio": 0.5}
+        ),
+        "infonce_a1.json": _merged(config, {"loss": "infonce", "label_ratio": 1.0}),
         "grid.json": _merged(config, {"epochs": 2}),
     }
     data = ["--data", "data.umc"]
     commands = [("gen-data", ["gen-data", "--spec", "base.json", "--out", "data.umc"])]
-    for run in ("unicon_a1", "infonce_a0"):
+    for run in ("unicon_a1", "infonce_a0", "supcon_in_a05", "infonce_a1"):
         commands.append(
             (run, ["pretrain", "--config", f"{run}.json", *data, "--out-dir", run])
         )
