@@ -13,19 +13,9 @@ import errno
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    _read_object,
-    config_digest,
-    config_from_dict,
-    load_config,
-    run_id,
-    spec_from_dict,
-)
+from .config import ConfigError, config_digest, load_config, load_spec, run_id
 from .experiments import (
     compare_grid,
     compare_to_csv,
@@ -48,15 +38,8 @@ from .storage import (
 )
 
 
-def _load_dataset_spec(path):
-    doc = _read_object(path, "spec")
-    if set(doc) <= {f.name for f in fields(RunConfig)}:
-        return config_from_dict(doc).dataset
-    return spec_from_dict(doc)
-
-
 def _cmd_gen_data(args) -> int:
-    spec = _load_dataset_spec(args.spec)
+    spec = load_spec(args.spec)
     dataset = generate_dataset(spec)
     save_dataset(args.out, dataset)
     print(

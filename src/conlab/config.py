@@ -242,7 +242,9 @@ class TrainConfig(_Checked):
         """Only the paired key is a positive: the loss is infonce, or no
         label is visible. Every loss takes the infonce value on one
         positive, and ``train_step`` then runs infonce's kernel, so such a
-        run trains bit for bit as infonce at label ratio 0."""
+        run trains bit for bit as infonce at label ratio 0. The collapse on
+        one positive is checked on the kernels: acceptance criteria 2 and 8
+        and ``conlab losscheck``."""
         return self.loss == "infonce" or self.label_ratio == 0.0
 
     def validate(self) -> list[str]:
@@ -364,6 +366,16 @@ def load_config(path) -> RunConfig:
     return config_from_dict(_read_object(path, "config"))
 
 
+def load_spec(path) -> DatasetSpec:
+    """The dataset spec in the file at ``path``: a whole config's dataset
+    section, if every key names a config section, else a bare spec, which
+    is checked without a model (``spec_from_dict``)."""
+    doc = _read_object(path, "spec")
+    if set(doc) <= {f.name for f in fields(RunConfig)}:
+        return config_from_dict(doc).dataset
+    return spec_from_dict(doc)
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """JSON-native mirror of the config (tuples become lists), so a value
     survives a dump/load round trip unchanged."""
@@ -401,6 +413,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "load_config",
+    "load_spec",
     "run_id",
     "with_train",
 ]

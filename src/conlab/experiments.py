@@ -2,12 +2,10 @@
 
 A grid cell is one full pretrain + linear/kNN probe at a given (loss kind,
 label ratio α, seed); a cell's headline number is the seed-mean linear-probe
-top-1. Every grid silently includes α = 0, the unlabelled baseline. There
-every loss trains bit for bit as infonce (``TrainConfig.single_positive``),
-so that column, and any infonce cell, is trained once per seed, as infonce
-at α=0, and its result shared. That the multi-positive losses collapse to
-the single-positive one is checked on the kernel itself: acceptance
-criteria 2 and 8 and ``conlab losscheck``.
+top-1. Every grid silently includes α = 0, the unlabelled baseline. Its
+cells and any infonce cell are single-positive
+(``TrainConfig.single_positive``), so each seed trains them once and shares
+the result (``_work_key``).
 """
 
 from __future__ import annotations
@@ -45,8 +43,9 @@ class CompareResult:
 
 
 def _work_key(run_cfg: RunConfig) -> RunConfig:
-    """The config whose run gives ``run_cfg``'s probe result: a single-positive
-    run trains as infonce at label ratio 0, and the probes read neither."""
+    """The config whose run gives ``run_cfg``'s probe result: infonce at
+    label ratio 0 for a single-positive run (``TrainConfig.single_positive``),
+    else ``run_cfg``; the probes read neither the loss nor the label ratio."""
     if run_cfg.train.single_positive:
         return with_train(run_cfg, loss="infonce", label_ratio=0.0)
     return run_cfg
@@ -61,10 +60,8 @@ def compare_grid(
     progress=None,
 ) -> CompareResult:
     """Run the full cross-product. Each cell's result is ``pretrain`` and
-    ``run_probes`` under its work key, the config that names its run: its
-    own, or infonce at label ratio 0 for a single-positive cell, which
-    trains bit for bit alike. So each seed trains and probes the
-    single-positive cells once, as infonce at α=0, whatever the order of
+    ``run_probes`` under its work key (``_work_key``), so each seed trains
+    and probes the single-positive cells once, whatever the order of
     ``losses``; ``progress`` still sees every cell, in grid order.
 
     A seed and an alpha are converted by the config's own rules, and a bad

@@ -36,9 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import sigmoid, softplus
-
-LOSS_KINDS = ("infonce", "unicon", "unicon_out", "supcon_out", "supcon_in")
+from .numerics import UNIT_NORM_TOL, sigmoid, softplus
 
 
 def _check_batch(kind: str, logits: np.ndarray, targets: np.ndarray):
@@ -189,6 +187,7 @@ _BATCH = {
     "supcon_out": _supcon_out_batch,
     "supcon_in": _supcon_in_batch,
 }
+LOSS_KINDS = tuple(_BATCH)
 
 
 def loss_batch(kind: str, logits: np.ndarray, targets: np.ndarray):
@@ -212,7 +211,7 @@ def triplet_pair(q, k_pos, k_neg, tau: float) -> float:
         raise ValueError("tau must be positive")
     vecs = [np.asarray(v, dtype=np.float64) for v in (q, k_pos, k_neg)]
     for v in vecs:
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("non-unit input")
     q, k_pos, k_neg = vecs
     s_pos = float(q @ k_pos) / tau

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 DEGENERATE_NORM = 1e-12
+UNIT_NORM_TOL = 1e-8  # how far a unit vector's norm may stray from 1
 
 
 def _limit_blas_threads() -> None:

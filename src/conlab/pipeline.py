@@ -211,10 +211,8 @@ def train_step(
     np.matmul(q, state.queue.features.T, out=logits[:, 1:])
     logits /= train_cfg.tau
 
-    # A single-positive run reads no label, so only the paired key counts:
-    # infonce treats queue label matches as negatives, and at label ratio 0
-    # there are none. Every loss takes the infonce value on one positive, so
-    # such a run is scored by infonce's kernel.
+    # a single-positive run reads no label and runs infonce's kernel
+    # (``TrainConfig.single_positive``)
     single = train_cfg.single_positive
     kind = "infonce" if single else train_cfg.loss
     targets = build_target(np.full(n, UNLABELED) if single else labels, state.queue)

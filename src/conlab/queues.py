@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import UNIT_NORM_TOL, Rng
 
 UNLABELED = -1
-UNIT_NORM_TOL = 1e-8  # how far a stored key's norm may stray from 1
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ from .config import (
 )
 from .model import EncoderParams, leaves
 from .pipeline import Dataset, StepMetrics, TrainState, _array_problems, _dataset_layout
-from .queues import UNIT_NORM_TOL, UNLABELED, PairQueue
+from .numerics import UNIT_NORM_TOL
+from .queues import UNLABELED, PairQueue
 
 MAGIC = b"UMC1"
 FORMAT_VERSION = 1

@@ -21,6 +21,7 @@ from conlab.config import (
     config_from_dict,
     config_to_dict,
     load_config,
+    load_spec,
     run_id,
     spec_from_dict,
     with_train,
@@ -514,6 +515,21 @@ def test_load_config_file_and_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(path)
+
+
+def test_load_spec_reads_a_bare_spec_or_a_whole_config(tmp_path):
+    path = tmp_path / "spec.json"
+    # a bare spec has no model, so the default one's budget does not bound it
+    bare = {"input_dim": 2**20, "n_train": 64, "n_test": 64}
+    with pytest.raises(ConfigError, match="model: the parameter count"):
+        config_from_dict({"dataset": bare})
+    path.write_text(json.dumps(bare))
+    assert load_spec(path) == DatasetSpec(input_dim=2**20, n_train=64, n_test=64)
+    whole = {"dataset": {"n_classes": 3, "seed": 7}, "train": {"epochs": 1}}
+    path.write_text(json.dumps(whole))
+    assert load_spec(path) == DatasetSpec(n_classes=3, seed=7)
+    path.write_text("{}")
+    assert load_spec(path) == DatasetSpec()
 
 
 def test_canonical_json_sorts_keys():

@@ -1,6 +1,8 @@
 """Every name a module lists in `__all__` resolves, so the public API holds
-no stale exports, and the root exports the library workflow alone."""
+no stale exports, the root exports the library workflow alone, and no
+module imports another's private name."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -40,3 +42,25 @@ def test_root_exports_the_library_surface():
     assert imported
     readme_names = {name.strip() for line in imported for name in line.split(",")}
     assert readme_names <= ROOT_NAMES
+
+
+SRC = Path(conlab.__file__).resolve().parent
+# storage checks its files with pipeline's array rules, which cannot move to
+# storage: pipeline checks in-memory datasets with them and cannot import
+# storage, which imports pipeline's types
+PRIVATE_IMPORTS_ALLOWED = {
+    ("storage", "pipeline", "_array_problems"),
+    ("storage", "pipeline", "_dataset_layout"),
+}
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.name  # a dunder, such as __version__, is public
+                    if name.startswith("_") and not name.startswith("__"):
+                        found.add((path.stem, node.module, name))
+    assert sorted(found - PRIVATE_IMPORTS_ALLOWED) == []

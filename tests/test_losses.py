@@ -151,6 +151,12 @@ def test_oracle_rows(kind, logits, mask, value, grad):
     assert np.allclose(grads[0], grad, rtol=1e-12, atol=1e-15)
 
 
+def test_loss_kinds_keep_their_order():
+    # the losscheck table, the config message and the --losses help list
+    # the kinds in this order
+    assert LOSS_KINDS == ("infonce", "unicon", "unicon_out", "supcon_out", "supcon_in")
+
+
 # ---------------------------------------------------------------------------
 # closed-form special cases
 

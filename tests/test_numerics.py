@@ -14,7 +14,17 @@ from conftest import other_threads_s
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conlab.numerics import Rng, sigmoid, softplus
+from conlab.losses import triplet_pair
+from conlab.numerics import UNIT_NORM_TOL, Rng, sigmoid, softplus
+from conlab.pipeline import init_state
+from conlab.queues import init_queue, push_batch
+from conlab.storage import (
+    StorageError,
+    load_checkpoint,
+    read_container,
+    save_checkpoint,
+    write_container,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +139,51 @@ def test_rng_integers_and_uniform_ranges():
     assert ints.min() >= 2 and ints.max() < 7
     u = Rng(9).uniform(-0.5, 0.25, size=1000)
     assert u.min() >= -0.5 and u.max() < 0.25
+
+
+# ---------------------------------------------------------------------------
+# the unit-norm tolerance: one bound for every check of a unit vector
+
+
+def _push_scaled(scale, tmp_path, cfg):
+    queue = init_queue(4, 3, Rng(0))
+    push_batch(queue, queue.features[:2] * scale, np.array([0, 1]))
+
+
+def _load_scaled(scale, tmp_path, cfg):
+    path = tmp_path / "ckpt.umc"
+    save_checkpoint(path, init_state(cfg), cfg)
+    header, arrays = read_container(path)
+    order = [entry["name"] for entry in header.pop("arrays")]
+    del header["format_version"]
+    arrays["queue.features"][0] *= scale
+    write_container(path, header, [(name, arrays[name]) for name in order])
+    load_checkpoint(path)
+
+
+def _triplet_scaled(scale, tmp_path, cfg):
+    q, k = np.eye(3)[:2]
+    triplet_pair(q * scale, k, -k, tau=0.2)
+
+
+NORM_CHECKS = {
+    "push_batch": (_push_scaled, ValueError, "norm violation: keys must be unit vectors"),
+    "checkpoint": (
+        _load_scaled,
+        StorageError,
+        "checkpoint queue holds a feature row that is not unit-norm",
+    ),
+    "triplet_pair": (_triplet_scaled, ValueError, "non-unit input"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NORM_CHECKS))
+def test_unit_norm_checks_share_one_tolerance(check, tmp_path, small_cfg):
+    scaled, error, message = NORM_CHECKS[check]
+    scaled(1.0 + 0.5 * UNIT_NORM_TOL, tmp_path, small_cfg)
+    with pytest.raises(error) as exc:
+        scaled(1.0 + 2.0 * UNIT_NORM_TOL, tmp_path, small_cfg)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
